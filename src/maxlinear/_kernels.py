@@ -1,4 +1,4 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels, vectorized with numpy.
 
 Three inner loops dominate the runtime of simulation studies and
 order-learning sweeps:
@@ -9,40 +9,22 @@ order-learning sweeps:
 * row maxima of column-scaled samples feeding inverse-square means
   (Frechet maximum-likelihood scalings).
 
-Each kernel exists twice: a ``@njit`` version and a vectorized numpy
-version.  The backend is fixed at import time: numba when importable,
-numpy when the environment variable ``MAXLINEAR_NO_NUMBA`` is set to a
-non-empty value other than ``0`` or when numba is missing.  Both
-variants are importable directly so benchmarks can time them against
-each other in one process.
+Callers reach each kernel through this module (``_kernels.<name>``)
+rather than importing the function, so there is one place to replace or
+instrument it.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAS_NUMBA = False
-
-_flag = os.environ.get("MAXLINEAR_NO_NUMBA", "").strip()
-USE_NUMBA = HAS_NUMBA and _flag in ("", "0")
-
-# Row-block size for the chunked numpy fallbacks; bounds temporary
+# Row-block size for the chunked max-times product; bounds temporary
 # broadcast buffers to a few MB regardless of sample length.
 _BLOCK = 8192
 
 
-# ---------------------------------------------------------------------------
-# max-times product
-
-
-def max_times_product_numpy(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+def max_times_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``out[i, j] = max_k left[i, k] * right[k, j]``."""
     n = left.shape[0]
     out = np.empty((n, right.shape[1]), dtype=np.float64)
     for start in range(0, n, _BLOCK):
@@ -52,32 +34,16 @@ def max_times_product_numpy(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return out
 
 
-def _max_times_product_loop(left, right):
-    n, q = left.shape
-    m = right.shape[1]
-    out = np.zeros((n, m), dtype=np.float64)
-    for i in range(n):
-        for j in range(m):
-            best = 0.0
-            for k in range(q):
-                v = left[i, k] * right[k, j]
-                if v > best:
-                    best = v
-            out[i, j] = best
-    return out
+def scaling_sum(x: np.ndarray, k: int) -> tuple[float, int, int]:
+    """Thresholded angular sum over the rows of a (n, q) sample.
 
-
-# ---------------------------------------------------------------------------
-# thresholded angular sum
-#
-# For rows x of a (n, q) sample: radius^2 = sum_j x_j^2, peak^2 = max_j x_j^2.
-# Accumulates sum over the rows with the k largest radii (ties included) of
-# peak^2 / radius^2, i.e. the max of the squared angular components.
-# Returns (acc, n_exceed, n_positive); acc is nan when fewer than k rows
-# have positive radius, and the caller is expected to raise.
-
-
-def scaling_sum_numpy(x: np.ndarray, k: int) -> tuple[float, int, int]:
+    With radius^2 = sum_j x_j^2 and peak^2 = max_j x_j^2 per row, sums
+    peak^2 / radius^2 (the max of the squared angular components) over
+    the rows with the k largest radii, ties included.  Returns
+    ``(acc, n_exceed, n_positive)``; ``acc`` is nan when fewer than k rows
+    have positive radius, and the caller is expected to raise.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
     sq = x * x
     r2 = sq.sum(axis=1)
     n_pos = int(np.count_nonzero(r2 > 0.0))
@@ -91,86 +57,10 @@ def scaling_sum_numpy(x: np.ndarray, k: int) -> tuple[float, int, int]:
     return acc, int(np.count_nonzero(sel)), n_pos
 
 
-def _scaling_sum_loop(x, k):
-    n, q = x.shape
-    r2 = np.zeros(n, dtype=np.float64)
-    peak = np.zeros(n, dtype=np.float64)
-    n_pos = 0
-    for i in range(n):
-        s = 0.0
-        m = 0.0
-        for j in range(q):
-            v = x[i, j] * x[i, j]
-            s += v
-            if v > m:
-                m = v
-        r2[i] = s
-        peak[i] = m
-        if s > 0.0:
-            n_pos += 1
-    if n_pos < k:
-        return np.nan, 0, n_pos
-    thr = np.partition(r2, n - k)[n - k]
-    acc = 0.0
-    n_exc = 0
-    for i in range(n):
-        if r2[i] >= thr:
-            acc += peak[i] / r2[i]
-            n_exc += 1
-    return acc, n_exc, n_pos
-
-
-# ---------------------------------------------------------------------------
-# inverse-square mean of column-scaled row maxima
-#
-# mean over rows of (max_j w_j * x_ij)^(-2); nan when any row maximum is
-# not strictly positive.
-
-
-def scaled_rowmax_invsq_mean_numpy(x: np.ndarray, w: np.ndarray) -> float:
+def scaled_rowmax_invsq_mean(x: np.ndarray, w: np.ndarray) -> float:
+    """Mean over rows of ``(max_j w_j * x_ij)^(-2)``; nan when any row
+    maximum is not strictly positive."""
     m = (x * w).max(axis=1)
     if np.any(m <= 0.0):
         return float("nan")
     return float(np.mean(m**-2.0))
-
-
-def _scaled_rowmax_invsq_mean_loop(x, w):
-    n, q = x.shape
-    acc = 0.0
-    for i in range(n):
-        m = 0.0
-        for j in range(q):
-            v = w[j] * x[i, j]
-            if v > m:
-                m = v
-        if m <= 0.0:
-            return np.nan
-        acc += 1.0 / (m * m)
-    return acc / n
-
-
-if HAS_NUMBA:
-    max_times_product_numba = njit(cache=True, nogil=True)(_max_times_product_loop)
-    scaling_sum_numba = njit(cache=True, nogil=True)(_scaling_sum_loop)
-    scaled_rowmax_invsq_mean_numba = njit(cache=True, nogil=True)(
-        _scaled_rowmax_invsq_mean_loop
-    )
-
-if USE_NUMBA:
-    max_times_product = max_times_product_numba
-    _scaling_sum = scaling_sum_numba
-    scaled_rowmax_invsq_mean = scaled_rowmax_invsq_mean_numba
-else:
-    max_times_product = max_times_product_numpy
-    _scaling_sum = scaling_sum_numpy
-    scaled_rowmax_invsq_mean = scaled_rowmax_invsq_mean_numpy
-
-
-def scaling_sum(x: np.ndarray, k: int) -> tuple[float, int, int]:
-    acc, n_exc, n_pos = _scaling_sum(np.ascontiguousarray(x, dtype=np.float64), k)
-    return float(acc), int(n_exc), int(n_pos)
-
-
-def active_backend() -> str:
-    """Name of the kernel backend chosen at import time."""
-    return "numba" if USE_NUMBA else "numpy"

@@ -235,13 +235,17 @@ def frechet_mle_scaling(maxima: Sequence[float] | np.ndarray) -> float:
     scale is the reciprocal of the mean of ``m^-2``.
 
     Raises:
-        ValidationError: empty input or any non-positive value.
+        ValidationError: empty input or any non-finite value.
+        ThresholdError: any non-positive value, a data condition under
+            which the estimate cannot be formed.
     """
     m = np.asarray(maxima, dtype=np.float64).ravel()
     if m.size == 0:
         raise ValidationError("maxima sequence is empty")
-    if not np.all(np.isfinite(m)) or np.any(m <= 0.0):
-        raise ValidationError("maxima must be finite and strictly positive")
+    if not np.all(np.isfinite(m)):
+        raise ValidationError("maxima must be finite")
+    if np.any(m <= 0.0):
+        raise ThresholdError("maxima must be strictly positive for the MLE")
     return float(1.0 / np.mean(m**-2.0))
 
 

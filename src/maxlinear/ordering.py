@@ -1,23 +1,30 @@
 """Causal-order recovery for recursive max-linear models.
 
-Every algorithm here compares scalings of maxima before and after
+Every decision here compares scalings of maxima before and after
 inflating a candidate group of components by a factor ``a > 1``.  The
 inflating trick separates ancestors from non-ancestors: if the
 candidate node has no unordered ancestors the inflated and plain
 scalings differ by exactly ``(a^2 - 1)`` times the scaling of the
-inflated group, otherwise by strictly less.  Each algorithm turns that
-gap, written ``delta`` throughout, into a decision:
+inflated group, otherwise by strictly less.  The gap, written
+``delta`` throughout, drives one discovery loop: an initial pass picks
+the first nodes, then each step computes the deltas of the unordered
+nodes given the ordered head and extends the head.
 
-* ``initial_nodes_threshold`` accepts nodes whose delta sits inside a
-  small band around zero (parentless nodes have delta exactly zero);
-* ``next_generation_threshold`` repeats the test given an already
-  ordered head set, yielding whole generations at a time;
-* ``initial_nodes_pairwise`` is the data-frugal variant that screens a
-  node against every single partner instead of all nodes at once;
-* ``next_node_argmax`` orders one node per step by taking the largest
-  delta, which is noise-robust since eligible nodes sit at the top.
+There are two initial passes:
 
-Scalings are supplied by a provider object so each algorithm runs
+* the threshold pass accepts nodes whose delta sits inside a small band
+  around zero (parentless nodes have delta exactly zero);
+* the pairwise screen, the data-frugal variant on a sample, tests each
+  node against every single partner instead of all nodes at once.
+
+and two step policies:
+
+* ``learn_generations`` accepts every node with |delta| within the band,
+  yielding whole generations at a time;
+* ``learn_order`` takes the single largest delta, which is noise-robust
+  since eligible nodes sit at the top.
+
+Scalings are supplied by a provider object so the loop runs
 identically on exact model scalings (``ExactScalings``) and on data
 estimates (``SpectralScalings`` for the angular estimators,
 ``FrechetMleScalings`` for the parametric ones).
@@ -38,11 +45,7 @@ from .errors import (
     ThresholdError,
     ValidationError,
 )
-from .estimation import (
-    estimate_max_scaling,
-    estimate_rescaled_max_scaling,
-    frechet_mle_scaling,
-)
+from .estimation import estimate_max_scaling, estimate_rescaled_max_scaling
 from .model import as_coefficient_matrix, max_scaling, rescaled_max_scaling
 
 MODES = ("exact-scalings", "estimated")
@@ -311,71 +314,29 @@ def _single(deltas: Mapping[int, float]) -> dict[int, tuple[float, float]]:
     return {m: (v, v) for m, v in deltas.items()}
 
 
-def initial_nodes_threshold(
-    provider: ScalingProvider, cfg: ReorderConfig
-) -> frozenset[int]:
-    """Nodes whose inflation delta lies in [-eps2, eps1].
+def _threshold_pass(provider: ScalingProvider, cfg: ReorderConfig) -> DeltaPass:
+    """Initial pass: nodes whose inflation delta lies in [-eps2, eps1].
 
     Exact scalings put parentless nodes at delta zero and all others
     strictly below; the band absorbs estimation noise.
-
-    Raises:
-        NoInitialNodeError: the band caught nothing; tolerances are too
-            tight for the data.
     """
     deltas = _initial_deltas(provider, cfg)
-    accepted = frozenset(m for m, v in deltas.items() if -cfg.eps2 <= v <= cfg.eps1)
-    if not accepted:
-        raise NoInitialNodeError(
-            "no node passed the initial test; consider relaxing eps1/eps2 "
-            f"(deltas ranged {min(deltas.values()):.4g}..{max(deltas.values()):.4g})"
-        )
-    return accepted
+    accepted = sorted(m for m, v in deltas.items() if -cfg.eps2 <= v <= cfg.eps1)
+    return DeltaPass("initial", (), _single(deltas), tuple(accepted))
 
 
-def initial_nodes_pairwise(x: np.ndarray, cfg: ReorderConfig, k: int) -> frozenset[int]:
-    """Data-mode initial-node screen over all node pairs.
+def _pairwise_pass(x: np.ndarray, cfg: ReorderConfig, k: int) -> DeltaPass:
+    """Initial pass on a sample, screening each node against every partner.
 
-    For each candidate m the delta is computed against every partner i
-    on the two columns (i, m) alone; m passes when the largest delta
-    stays below eps1 and the smallest above -eps2.
-
-    Raises:
-        NoInitialNodeError: no candidate passed.
+    For each candidate m the delta is computed on the two columns (i, m)
+    alone; m passes when the largest delta stays below eps1 and the
+    smallest above -eps2.
     """
     bounds = _pairwise_delta_bounds(x, cfg, k)
-    accepted = frozenset(
+    accepted = sorted(
         m for m, (lo, hi) in bounds.items() if hi <= cfg.eps1 and lo >= -cfg.eps2
     )
-    if not accepted:
-        raise NoInitialNodeError(
-            "no node passed the pairwise initial test; consider relaxing eps1/eps2"
-        )
-    return accepted
-
-
-def next_generation_threshold(
-    provider: ScalingProvider, ordered: Sequence[int], cfg: ReorderConfig
-) -> frozenset[int]:
-    """All unordered nodes with |delta| <= eps3 given the ordered head.
-
-    With exact scalings this is precisely the set of nodes whose every
-    ancestor is already ordered, i.e. the next generation.
-
-    Raises:
-        EmptyGenerationError: nothing passed while unordered nodes
-            remain, invalidating the run.
-    """
-    deltas = _generation_deltas(provider, ordered, cfg)
-    if not deltas:
-        return frozenset()
-    accepted = frozenset(m for m, v in deltas.items() if abs(v) <= cfg.eps3)
-    if not accepted:
-        raise EmptyGenerationError(
-            f"no node passed the generation test with head {tuple(ordered)}; "
-            "consider relaxing eps3"
-        )
-    return accepted
+    return DeltaPass("initial-pairwise", (), bounds, tuple(accepted))
 
 
 def _argmax_node(deltas: Mapping[int, float]) -> int:
@@ -384,40 +345,52 @@ def _argmax_node(deltas: Mapping[int, float]) -> int:
     return min(m for m, v in deltas.items() if v == best)
 
 
-def next_node_argmax(
-    x: np.ndarray, ordered: Sequence[int], cfg: ReorderConfig, k: int
-) -> int:
-    """The unordered node with the largest delta given the ordered head.
-
-    Always returns a node; eligible nodes (no unordered ancestors) have
-    the largest population delta, zero, so the argmax picks one of them
-    up to estimation noise.  Ties break to the smallest label.
-    """
-    provider = SpectralScalings(x, k)
-    deltas = _generation_deltas(provider, ordered, cfg)
-    if not deltas:
-        raise ValidationError("no unordered nodes remain")
-    return _argmax_node(deltas)
-
-
-def unrelated_pair(
+def _discover(
     provider: ScalingProvider,
-    ordered: Sequence[int],
-    i: int,
-    j: int,
+    first: DeltaPass,
     cfg: ReorderConfig,
-) -> bool:
-    """True when neither i nor j can be an ancestor of the other.
+    step: str,
+    strict: bool = True,
+) -> LearnResult:
+    """The discovery loop shared by both entry points.
 
-    Both must pass the generation criterion given the ordered head: a
-    node passing has no unordered ancestors, so two passing nodes are
-    mutually non-ancestral.
+    Starts from the nodes ``first`` accepted and extends the ordered head
+    by one pass of kind ``step`` at a time: ``"generation"`` accepts all
+    nodes with |delta| <= eps3, ``"argmax"`` the single largest delta.
+    An empty pass raises with ``strict``, else ends the run with
+    ``valid=False`` and whatever was ordered so far.
     """
-    hs = tuple(ordered)
-    if i in hs or j in hs:
-        raise ValidationError("pair nodes must be outside the ordered set")
-    deltas = _generation_deltas(provider, hs, cfg)
-    return abs(deltas[i]) <= cfg.eps3 and abs(deltas[j]) <= cfg.eps3
+    passes = [first]
+    if not first.accepted:
+        if strict:
+            test = "pairwise initial" if first.kind == "initial-pairwise" else "initial"
+            raise NoInitialNodeError(
+                f"no node passed the {test} test; consider relaxing eps1/eps2"
+            )
+        return LearnResult((), None, tuple(passes), False, cfg)
+    discovery = list(first.accepted)
+    generations = [first.accepted]
+
+    while len(discovery) < provider.node_count:
+        deltas = _generation_deltas(provider, discovery, cfg)
+        if step == "argmax":
+            accepted = (_argmax_node(deltas),)
+        else:
+            accepted = tuple(sorted(m for m, v in deltas.items() if abs(v) <= cfg.eps3))
+        passes.append(DeltaPass(step, tuple(discovery), _single(deltas), accepted))
+        if not accepted:
+            if strict:
+                raise EmptyGenerationError(
+                    f"no node passed the generation test with head {tuple(discovery)}"
+                )
+            return LearnResult(
+                tuple(discovery), tuple(generations), tuple(passes), False, cfg
+            )
+        discovery.extend(accepted)
+        generations.append(accepted)
+
+    kept = tuple(generations) if step == "generation" else None
+    return LearnResult(tuple(discovery), kept, tuple(passes), True, cfg)
 
 
 def learn_generations(
@@ -430,54 +403,13 @@ def learn_generations(
     pass raises; with ``strict=False`` the run stops and is returned
     with ``valid=False`` and whatever was ordered so far, which is what
     the simulation-study harness tallies.
+
+    Raises:
+        NoInitialNodeError: the initial band caught nothing (``strict``).
+        EmptyGenerationError: a generation pass caught nothing (``strict``).
     """
-    d = provider.node_count
-    passes: list[DeltaPass] = []
-    discovery: list[int] = []
-    generations: list[tuple[int, ...]] = []
-
-    deltas0 = _initial_deltas(provider, cfg)
-    first = sorted(m for m, v in deltas0.items() if -cfg.eps2 <= v <= cfg.eps1)
-    passes.append(
-        DeltaPass(
-            kind="initial",
-            ordered_before=(),
-            deltas=_single(deltas0),
-            accepted=tuple(first),
-        )
-    )
-    if not first:
-        if strict:
-            raise NoInitialNodeError(
-                "no node passed the initial test; consider relaxing eps1/eps2"
-            )
-        return LearnResult((), None, tuple(passes), False, cfg)
-    discovery.extend(first)
-    generations.append(tuple(first))
-
-    while len(discovery) < d:
-        deltas = _generation_deltas(provider, discovery, cfg)
-        accepted = sorted(m for m, v in deltas.items() if abs(v) <= cfg.eps3)
-        passes.append(
-            DeltaPass(
-                kind="generation",
-                ordered_before=tuple(discovery),
-                deltas=_single(deltas),
-                accepted=tuple(accepted),
-            )
-        )
-        if not accepted:
-            if strict:
-                raise EmptyGenerationError(
-                    f"no node passed the generation test with head {tuple(discovery)}"
-                )
-            return LearnResult(
-                tuple(discovery), tuple(generations), tuple(passes), False, cfg
-            )
-        discovery.extend(accepted)
-        generations.append(tuple(accepted))
-
-    return LearnResult(tuple(discovery), tuple(generations), tuple(passes), True, cfg)
+    first = _threshold_pass(provider, cfg)
+    return _discover(provider, first, cfg, "generation", strict)
 
 
 def learn_order(
@@ -493,60 +425,11 @@ def learn_order(
     models), or from all observations with ``FrechetMleScalings``.
 
     Raises:
-        NoInitialNodeError: propagated from the initial pass.
+        NoInitialNodeError: the initial pass accepted nothing.
     """
-    passes: list[DeltaPass] = []
     if isinstance(x, np.ndarray):
         if k is None:
             raise ValidationError("k is required when learning from data")
         provider = SpectralScalings(x, k)
-        d = provider.node_count
-        bounds = _pairwise_delta_bounds(x, cfg, k)
-        first = sorted(
-            m for m, (lo, hi) in bounds.items() if hi <= cfg.eps1 and lo >= -cfg.eps2
-        )
-        passes.append(
-            DeltaPass(
-                kind="initial-pairwise",
-                ordered_before=(),
-                deltas=dict(bounds),
-                accepted=tuple(first),
-            )
-        )
-        if not first:
-            raise NoInitialNodeError(
-                "no node passed the pairwise initial test; consider relaxing eps1/eps2"
-            )
-    else:
-        provider = x
-        d = provider.node_count
-        deltas0 = _initial_deltas(provider, cfg)
-        first = sorted(m for m, v in deltas0.items() if -cfg.eps2 <= v <= cfg.eps1)
-        passes.append(
-            DeltaPass(
-                kind="initial",
-                ordered_before=(),
-                deltas=_single(deltas0),
-                accepted=tuple(first),
-            )
-        )
-        if not first:
-            raise NoInitialNodeError(
-                "no node passed the initial test; consider relaxing eps1/eps2"
-            )
-
-    discovery = list(first)
-    while len(discovery) < d:
-        deltas = _generation_deltas(provider, discovery, cfg)
-        m = _argmax_node(deltas)
-        passes.append(
-            DeltaPass(
-                kind="argmax",
-                ordered_before=tuple(discovery),
-                deltas=_single(deltas),
-                accepted=(m,),
-            )
-        )
-        discovery.append(m)
-
-    return LearnResult(tuple(discovery), None, tuple(passes), True, cfg)
+        return _discover(provider, _pairwise_pass(x, cfg, k), cfg, "argmax")
+    return _discover(x, _threshold_pass(x, cfg), cfg, "argmax")

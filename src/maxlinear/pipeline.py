@@ -26,7 +26,7 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -180,15 +180,15 @@ class LearnConfig:
 LEARN_SCALINGS = ("mle", "spectral")
 
 
-def _reorder_config(cfg: LearnConfig, base: ReorderConfig) -> ReorderConfig:
-    values = {
-        "a": cfg.a if cfg.a is not None else base.a,
-        "eps1": cfg.eps1 if cfg.eps1 is not None else base.eps1,
-        "eps2": cfg.eps2 if cfg.eps2 is not None else base.eps2,
-        "eps3": cfg.eps3 if cfg.eps3 is not None else base.eps3,
-        "mode": base.mode,
-    }
-    return ReorderConfig(**values)
+def _reorder_config(
+    cfg: LearnConfig | StudyConfig, base: ReorderConfig
+) -> ReorderConfig:
+    """``base`` with the ``a``/``eps1``/``eps2``/``eps3`` values that
+    ``cfg`` sets; those left at None keep the value in ``base``."""
+    names = ("a", "eps1", "eps2", "eps3")
+    return replace(
+        base, **{f: getattr(cfg, f) for f in names if getattr(cfg, f) is not None}
+    )
 
 
 def scaling_vector_from_provider(
@@ -232,13 +232,8 @@ def shared_polar_scaling_vector(
 
 def _relabel_to_original(learned: np.ndarray, result: LearnResult) -> np.ndarray:
     """Permute a learned-frame matrix back to original column labels."""
-    d = learned.shape[0]
-    out = np.empty_like(learned)
-    pos = [result.position(label) for label in range(1, d + 1)]
-    for i in range(d):
-        for j in range(d):
-            out[i, j] = learned[pos[i] - 1, pos[j] - 1]
-    return out
+    p = [result.position(label) - 1 for label in range(1, learned.shape[0] + 1)]
+    return learned[np.ix_(p, p)]
 
 
 def _transform_sample(x: np.ndarray, how: str) -> np.ndarray:
@@ -333,11 +328,14 @@ def _degeneracy_diagnostics(learned: np.ndarray) -> list[list[int]]:
 
     Computed on the row-renormalized learned-frame matrix; clipping can
     push row norms slightly off 1, which the covariance formulas assume.
+    A diagonal entry clipped to zero (which includes a zero row) breaks
+    the positive-diagonal premise of the limit theorem, so then every
+    position is listed.
     """
     d = learned.shape[0]
-    norms = np.sqrt(np.square(learned).sum(axis=1, keepdims=True))
-    if not np.all(norms > 0):
+    if not np.all(np.diag(learned) > 0):
         return [[i, j] for i, j in index_pairs(d)]
+    norms = np.sqrt(np.square(learned).sum(axis=1, keepdims=True))
     pairs = recovery_variance_positive(learned / norms)
     return [[i, j] for i, j in pairs]
 
@@ -381,17 +379,6 @@ class StudyRow:
 class StudyResult:
     rows: tuple[StudyRow, ...]
     outcomes: tuple[tuple[int, int, bool, bool], ...] = field(default=())
-
-
-def _study_reorder_config(cfg: StudyConfig) -> ReorderConfig:
-    base = ReorderConfig.simulation_preset()
-    return ReorderConfig(
-        a=cfg.a if cfg.a is not None else base.a,
-        eps1=cfg.eps1 if cfg.eps1 is not None else base.eps1,
-        eps2=cfg.eps2 if cfg.eps2 is not None else base.eps2,
-        eps3=cfg.eps3 if cfg.eps3 is not None else base.eps3,
-        mode=cfg.mode,
-    )
 
 
 def _study_replicate(
@@ -440,7 +427,9 @@ def run_study(cfg: StudyConfig) -> StudyResult:
     start = time.perf_counter()
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rcfg = _study_reorder_config(cfg)
+    rcfg = _reorder_config(
+        cfg, replace(ReorderConfig.simulation_preset(), mode=cfg.mode)
+    )
     if cfg.weights not in STUDY_WEIGHT_POLICIES:
         raise ValidationError(
             f"study weight policy must be one of {STUDY_WEIGHT_POLICIES}, got {cfg.weights!r}"

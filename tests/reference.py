@@ -158,3 +158,32 @@ def naive_covariance_entry(
     return d * total - naive_max_scaling(coef, nodes_i) * naive_max_scaling(
         coef, nodes_j
     )
+
+
+def naive_scaling_sum(rows: list[list[float]], k: int) -> tuple[float, int, int]:
+    """(sum of max_j x_j^2 / sum_j x_j^2 over the rows whose squared radius
+    is at least the k-th largest, that row count, positive-radius count);
+    the sum is nan and the count 0 when fewer than k radii are positive."""
+    r2 = [sum(v * v for v in r) for r in rows]
+    n_pos = sum(1 for s in r2 if s > 0.0)
+    if n_pos < k:
+        return math.nan, 0, n_pos
+    thr = sorted(r2, reverse=True)[k - 1]
+    acc = 0.0
+    n_exc = 0
+    for r, s in zip(rows, r2):
+        if s >= thr:
+            acc += max(v * v for v in r) / s
+            n_exc += 1
+    return acc, n_exc, n_pos
+
+
+def naive_rowmax_invsq_mean(rows: list[list[float]], w: list[float]) -> float:
+    """Mean over rows of (max_j w_j x_j)^-2; nan if any row maximum is <= 0."""
+    total = 0.0
+    for r in rows:
+        m = max(wj * v for wj, v in zip(w, r))
+        if m <= 0.0:
+            return math.nan
+        total += 1.0 / (m * m)
+    return total / len(rows)

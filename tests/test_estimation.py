@@ -197,7 +197,7 @@ def test_frechet_mle_hand_value():
 def test_frechet_mle_validates():
     with pytest.raises(ValidationError):
         frechet_mle_scaling([])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ThresholdError):
         frechet_mle_scaling([1.0, 0.0])
     with pytest.raises(ValidationError):
         frechet_mle_scaling([1.0, np.inf])

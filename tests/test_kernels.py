@@ -1,12 +1,8 @@
-"""Numba/numpy kernel pair agreement and backend switching."""
+"""Numeric kernels: hand values and agreement with plain-loop oracles."""
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -14,6 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxlinear import _kernels as kern
+from reference import (
+    naive_max_matrix_product,
+    naive_rowmax_invsq_mean,
+    naive_scaling_sum,
+)
 
 
 def _random_sample(seed: int, n: int, q: int) -> np.ndarray:
@@ -24,19 +25,19 @@ def _random_sample(seed: int, n: int, q: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# numpy reference behaviour
+# hand values and degenerate inputs
 
 
 def test_max_times_product_numpy_hand_value():
     left = np.array([[1.0, 2.0], [3.0, 0.5]])
     right = np.array([[4.0, 1.0], [1.0, 5.0]])
-    got = kern.max_times_product_numpy(left, right)
+    got = kern.max_times_product(left, right)
     np.testing.assert_allclose(got, [[4.0, 10.0], [12.0, 3.0]])
 
 
 def test_scaling_sum_numpy_hand_value():
     x = np.array([[3.0, 4.0], [6.0, 8.0], [1.0, 0.0], [0.0, 1.0]])
-    acc, n_exc, n_pos = kern.scaling_sum_numpy(x, 2)
+    acc, n_exc, n_pos = kern.scaling_sum(x, 2)
     assert acc == pytest.approx(2 * (16.0 / 25.0))
     assert n_exc == 2
     assert n_pos == 4
@@ -45,8 +46,7 @@ def test_scaling_sum_numpy_hand_value():
 def test_scaling_sum_nan_when_too_few_positive_rows():
     x = np.zeros((5, 3))
     x[0, 0] = 1.0
-    for fn in (kern.scaling_sum_numpy, kern._scaling_sum_loop):
-        acc, n_exc, n_pos = fn(x, 2)
+    for acc, n_exc, n_pos in (kern.scaling_sum(x, 2), naive_scaling_sum(x.tolist(), 2)):
         assert math.isnan(acc)
         assert n_exc == 0
         assert n_pos == 1
@@ -57,112 +57,50 @@ def test_rowmax_invsq_mean_numpy_hand_value():
     w = np.array([1.0, 1.5])
     # row maxima of scaled columns: max(1, 3) = 3 and max(4, 1.5) = 4
     want = 0.5 * (3.0**-2 + 4.0**-2)
-    assert kern.scaled_rowmax_invsq_mean_numpy(x, w) == pytest.approx(want)
+    assert kern.scaled_rowmax_invsq_mean(x, w) == pytest.approx(want)
 
 
 def test_rowmax_invsq_mean_nan_on_nonpositive_row():
     x = np.array([[1.0, 2.0], [0.0, 0.0]])
     w = np.array([1.0, 1.0])
-    assert math.isnan(kern.scaled_rowmax_invsq_mean_numpy(x, w))
-    assert math.isnan(kern._scaled_rowmax_invsq_mean_loop(x, w))
+    assert math.isnan(kern.scaled_rowmax_invsq_mean(x, w))
+    assert math.isnan(naive_rowmax_invsq_mean(x.tolist(), w.tolist()))
 
 
 # ---------------------------------------------------------------------------
-# pairwise agreement between the two implementations
+# agreement with the plain-loop oracles in tests/reference.py
 
 
-@pytest.mark.skipif(not kern.HAS_NUMBA, reason="numba missing")
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 200), q=st.integers(1, 6))
-def test_max_times_product_backends_agree(seed, n, q):
+def test_max_times_product_matches_oracle(seed, n, q):
     rng = np.random.default_rng(seed)
     left = rng.uniform(0.0, 3.0, size=(n, q))
     right = rng.uniform(0.0, 3.0, size=(q, q))
-    a = kern.max_times_product_numpy(left, right)
-    b = kern.max_times_product_numba(left, right)
-    np.testing.assert_allclose(a, b, rtol=0, atol=0)
+    got = kern.max_times_product(left, right)
+    want = naive_max_matrix_product(left.tolist(), right.tolist())
+    np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.skipif(not kern.HAS_NUMBA, reason="numba missing")
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 500), q=st.integers(1, 6))
-def test_scaling_sum_backends_agree(seed, n, q):
+def test_scaling_sum_matches_oracle(seed, n, q):
     x = _random_sample(seed, n, q)
     k = max(1, n // 3)
-    a = kern.scaling_sum_numpy(x, k)
-    b = kern.scaling_sum_numba(x, k)
-    if math.isnan(a[0]):
-        assert math.isnan(b[0])
+    acc, n_exc, n_pos = kern.scaling_sum(x, k)
+    want_acc, want_exc, want_pos = naive_scaling_sum(x.tolist(), k)
+    if math.isnan(want_acc):
+        assert math.isnan(acc)
     else:
-        assert a[0] == pytest.approx(b[0], rel=1e-12)
-    assert a[1:] == b[1:]
+        assert acc == pytest.approx(want_acc, rel=1e-12)
+    assert (n_exc, n_pos) == (want_exc, want_pos)
 
 
-@pytest.mark.skipif(not kern.HAS_NUMBA, reason="numba missing")
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 500), q=st.integers(1, 6))
-def test_rowmax_invsq_mean_backends_agree(seed, n, q):
+def test_rowmax_invsq_mean_matches_oracle(seed, n, q):
     rng = np.random.default_rng(seed)
     x = rng.pareto(2.0, size=(n, q)) + 0.5
     w = rng.uniform(0.5, 2.0, size=q)
-    a = kern.scaled_rowmax_invsq_mean_numpy(x, w)
-    b = kern.scaled_rowmax_invsq_mean_numba(x, w)
-    assert a == pytest.approx(b, rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# backend selection via environment flag
-
-
-def test_default_backend_is_numba_when_available():
-    assert kern.active_backend() == ("numba" if kern.HAS_NUMBA else "numpy")
-
-
-def test_no_numba_flag_switches_backend_and_preserves_results():
-    code = """
-import json
-import numpy as np
-from maxlinear import _kernels as kern
-from maxlinear import simulate, estimate_max_scaling, ten_node_model
-
-coef = ten_node_model()
-x = simulate(coef, 0, 2000)
-out = {
-    "backend": kern.active_backend(),
-    "sample_sum": float(x.sum()),
-    "scaling": estimate_max_scaling(x, [1, 2, 3], 50),
-}
-print(json.dumps(out))
-"""
-    env_run = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "MAXLINEAR_NO_NUMBA": "1"},
-        check=True,
-    )
-    plain_run = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "MAXLINEAR_NO_NUMBA": ""},
-        check=True,
-    )
-    no_numba = json.loads(env_run.stdout)
-    default = json.loads(plain_run.stdout)
-    assert no_numba["backend"] == "numpy"
-    assert default["backend"] == ("numba" if kern.HAS_NUMBA else "numpy")
-    assert no_numba["sample_sum"] == pytest.approx(default["sample_sum"], rel=1e-12)
-    assert no_numba["scaling"] == pytest.approx(default["scaling"], rel=1e-12)
-
-
-def test_flag_zero_keeps_fast_backend():
-    code = "from maxlinear import _kernels as k; print(k.active_backend())"
-    run = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "MAXLINEAR_NO_NUMBA": "0"},
-        check=True,
-    )
-    assert run.stdout.strip() == ("numba" if kern.HAS_NUMBA else "numpy")
+    want = naive_rowmax_invsq_mean(x.tolist(), w.tolist())
+    assert kern.scaled_rowmax_invsq_mean(x, w) == pytest.approx(want, rel=1e-12)

@@ -19,12 +19,9 @@ from maxlinear import (
     ValidationError,
     empirical_frechet_transform,
     estimate_max_scaling,
-    initial_nodes_pairwise,
-    initial_nodes_threshold,
     learn_generations,
     learn_order,
     max_scaling,
-    next_generation_threshold,
     path_coefficients,
     random_standardized_model,
     random_weights,
@@ -34,7 +31,6 @@ from maxlinear import (
     standardize,
     ten_node_dag,
     ten_node_model,
-    unrelated_pair,
 )
 from maxlinear.presets import TEN_NODE_GENERATIONS
 
@@ -165,24 +161,31 @@ def test_generation_delta_zero_iff_no_unordered_ancestors(d, seed):
 
 
 def test_initial_nodes_threshold_two_node(two_node_model):
-    got = initial_nodes_threshold(ExactScalings(two_node_model), EXACT)
-    assert got == frozenset({2})
+    res = learn_generations(ExactScalings(two_node_model), EXACT)
+    assert res.passes[0].kind == "initial"
+    assert res.passes[0].accepted == (2,)
 
 
 def test_next_generation_threshold_diamond(diamond_model):
-    prov = ExactScalings(diamond_model)
-    assert next_generation_threshold(prov, (4,), EXACT) == frozenset({2, 3})
-    assert next_generation_threshold(prov, (4, 2, 3), EXACT) == frozenset({1})
-    assert next_generation_threshold(prov, (1, 2, 3, 4), EXACT) == frozenset()
+    res = learn_generations(ExactScalings(diamond_model), EXACT)
+    assert res.generations == ((4,), (2, 3), (1,))
+    assert [(p.ordered_before, p.accepted) for p in res.passes[1:]] == [
+        ((4,), (2, 3)),
+        ((4, 2, 3), (1,)),
+    ]
 
 
 def test_unrelated_pair_diamond(diamond_model):
-    prov = ExactScalings(diamond_model)
-    cfg = ReorderConfig.simulation_preset()
-    assert unrelated_pair(prov, (4,), 2, 3, cfg)
-    assert not unrelated_pair(prov, (4,), 2, 1, cfg)
-    with pytest.raises(ValidationError):
-        unrelated_pair(prov, (4,), 4, 1, cfg)
+    # two nodes accepted by the same generation pass are mutually
+    # non-ancestral: 2 and 3 pass given head (4,), their descendant 1 fails
+    res = learn_generations(
+        ExactScalings(diamond_model), ReorderConfig.simulation_preset()
+    )
+    step = res.passes[1]
+    assert step.ordered_before == (4,)
+    assert step.accepted == (2, 3)
+    lo, hi = step.deltas[1]
+    assert lo == hi and abs(hi) > ReorderConfig.simulation_preset().eps3
 
 
 # ---------------------------------------------------------------------------
@@ -270,14 +273,15 @@ def test_learn_order_exact_precedes_descendants_200_dags():
 
 def test_pairwise_initial_two_node_data(two_node_model):
     xt = empirical_frechet_transform(simulate(two_node_model, 1, 10_000))
-    got = initial_nodes_pairwise(xt, ReorderConfig.data_preset(), k=100)
-    assert got == frozenset({2})
+    first = learn_order(xt, ReorderConfig.data_preset(), k=100).passes[0]
+    assert first.kind == "initial-pairwise"
+    assert first.accepted == (2,)
 
 
 def test_pairwise_initial_raises_when_band_empty(two_node_model):
     xt = empirical_frechet_transform(simulate(two_node_model, 0, 2000))
-    with pytest.raises(NoInitialNodeError):
-        initial_nodes_pairwise(xt, ReorderConfig(eps1=0.0, eps2=0.0), k=40)
+    with pytest.raises(NoInitialNodeError, match="pairwise initial test"):
+        learn_order(xt, ReorderConfig(eps1=0.0, eps2=0.0), k=40)
 
 
 def test_learn_order_ten_node_data_frozen_seed(preset_model):

@@ -13,7 +13,9 @@ from maxlinear import (
     ExactScalings,
     ValidationError,
     estimate_max_scaling,
+    index_pairs,
     path_coefficients,
+    random_standardized_model,
     random_weights,
     scaling_vector,
     simulate,
@@ -164,6 +166,30 @@ def test_learn_exact_recovers_ten_node_preset(tmp_path):
     assert report["degenerate_recovery_directions"] == [
         [1, 2], [1, 3], [1, 4], [1, 6], [1, 9], [2, 3],
         [2, 4], [4, 6], [5, 6], [5, 9], [6, 7], [8, 9],
+    ]
+
+
+def test_learn_diagnostics_with_clipped_diagonal(tmp_path):
+    # at this seed the spectral recovery clips learned-frame diagonal
+    # entries to zero; the diagnostics then list every position instead
+    # of failing the positive-diagonal check of the covariance formulas
+    d = 20
+    x = simulate(random_standardized_model(d, np.random.default_rng(1)), 0, 10_000)
+    data = tmp_path / "sample.csv"
+    write_sample_csv(x, data, [f"x{i}" for i in range(1, d + 1)])
+    report = run_learn(
+        LearnConfig(
+            out_dir=str(tmp_path / "out"),
+            data=str(data),
+            scalings="spectral",
+            diagnostics=True,
+        )
+    )
+    learned = np.asarray(report["coefficients_learned_frame"])
+    assert report["diagonal_positive_before_clip"] is False
+    assert np.any(np.diag(learned) == 0.0)
+    assert report["degenerate_recovery_directions"] == [
+        [i, j] for i, j in index_pairs(d)
     ]
 
 

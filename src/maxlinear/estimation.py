@@ -42,25 +42,6 @@ def default_threshold_count(n: int) -> int:
     return int(math.ceil(math.sqrt(n)))
 
 
-@dataclass(frozen=True)
-class EstimationConfig:
-    """Threshold policy for spectral estimation.
-
-    ``threshold_count`` is k, the number of upper order statistics of
-    the radius; None defers to ``default_threshold_count`` at use time.
-    Ties at the threshold radius are always included while the divisor
-    stays k, so the effective number of exceedances can exceed k.
-    """
-
-    threshold_count: int | None = None
-
-    def resolve(self, n: int) -> int:
-        k = self.threshold_count if self.threshold_count is not None else default_threshold_count(n)
-        if not 1 <= k <= n:
-            raise ValidationError(f"threshold count {k} outside 1..{n}")
-        return k
-
-
 def _as_sample(x: np.ndarray) -> np.ndarray:
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] < 1:

@@ -1,5 +1,6 @@
-"""File formats: DAG text/JSON, matrix CSV/JSON, sample CSV, labeled
-scaling/covariance exports, learn-result reports, and DOT graphs.
+"""File formats the commands read and write: DAG text/JSON, matrix
+CSV/JSON, sample CSV, the ordering part of the learn report, and DOT
+graphs.
 
 Formats are deliberately small and stable:
 
@@ -7,12 +8,14 @@ Formats are deliberately small and stable:
   line (j is the parent); blank lines and ``#`` comments are ignored.
 * DAG JSON: ``{"nodes": d, "edges": [[j, i], ...]}``.
 * Matrix CSV: plain d rows of comma-separated numbers, no header.
+* Matrix JSON: ``{"matrix": [[...], ...]}``, or a ``model.json`` written
+  by ``simulate`` (key ``coefficients``).
 * Sample CSV: one header row of column names, then one observation per
   row, dot-decimal.
-* Scaling/squared-coefficient JSON: entries carry their (i, j) pair and
-  node subset explicitly so the vector layout is unambiguous.
 
-All writes are deterministic: fixed float formatting, no timestamps.
+The ``*_auto`` readers pick JSON for a ``.json`` suffix and the text or
+CSV format otherwise.  All writes are deterministic: fixed float
+formatting, no timestamps.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import numpy as np
 
 from .dag import DagStructure
 from .errors import FileFormatError, ValidationError
-from .identify import index_pairs, subset_at, vector_length
 from .ordering import LearnResult
 
 FLOAT_FMT = "%.17g"
@@ -38,12 +40,6 @@ def _fmt(v: float) -> str:
 
 # ---------------------------------------------------------------------------
 # DAG
-
-
-def write_dag_text(dag: DagStructure, path: str | Path) -> None:
-    lines = [f"nodes: {dag.node_count}"]
-    lines += [f"{j} -> {i}" for j, i in sorted(dag.edges)]
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_dag_text(path: str | Path) -> DagStructure:
@@ -67,14 +63,6 @@ def read_dag_text(path: str | Path) -> DagStructure:
     if node_count is None:
         raise FileFormatError("DAG file is missing the 'nodes: d' header")
     return DagStructure(node_count, edges)
-
-
-def write_dag_json(dag: DagStructure, path: str | Path) -> None:
-    payload = {
-        "nodes": dag.node_count,
-        "edges": [[j, i] for j, i in sorted(dag.edges)],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def read_dag_json(path: str | Path) -> DagStructure:
@@ -112,12 +100,6 @@ def read_matrix_csv(path: str | Path) -> np.ndarray:
     return a
 
 
-def write_matrix_json(matrix: np.ndarray, path: str | Path) -> None:
-    a = np.asarray(matrix, dtype=np.float64)
-    payload = {"d": a.shape[0], "matrix": [[float(v) for v in row] for row in a]}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-
 def read_matrix_json(path: str | Path) -> np.ndarray:
     """Read a square matrix from JSON.
 
@@ -131,6 +113,13 @@ def read_matrix_json(path: str | Path) -> np.ndarray:
         return np.asarray(payload[key], dtype=np.float64)
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise FileFormatError(f"cannot parse matrix JSON {path}: {exc}") from exc
+
+
+def read_matrix_auto(path: str | Path) -> np.ndarray:
+    p = Path(path)
+    if p.suffix.lower() == ".json":
+        return read_matrix_json(p)
+    return read_matrix_csv(p)
 
 
 def default_column_names(d: int) -> list[str]:
@@ -180,79 +169,6 @@ def read_sample_csv(path: str | Path) -> tuple[np.ndarray, list[str]]:
 
 
 # ---------------------------------------------------------------------------
-# labeled vectors and covariance matrices
-
-
-def _pair_entries(vector: np.ndarray, d: int) -> list[dict]:
-    v = np.asarray(vector, dtype=np.float64)
-    if v.shape != (vector_length(d),):
-        raise ValidationError(
-            f"vector length {v.shape} does not match d(d+1)/2 for d={d}"
-        )
-    return [
-        {"i": i, "j": j, "nodes": list(subset_at(i, j, d)), "value": float(val)}
-        for (i, j), val in zip(index_pairs(d), v)
-    ]
-
-
-def write_scaling_vector_json(vector: np.ndarray, d: int, path: str | Path) -> None:
-    """Scaling vector with explicit (i, j) labels and node subsets."""
-    payload = {"d": d, "kind": "max-scalings", "entries": _pair_entries(vector, d)}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def write_squared_coefficients_json(
-    vector: np.ndarray, d: int, path: str | Path
-) -> None:
-    entries = _pair_entries(vector, d)
-    for e in entries:
-        e.pop("nodes")
-    payload = {"d": d, "kind": "squared-coefficients", "entries": entries}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def read_labeled_vector_json(path: str | Path) -> tuple[np.ndarray, int]:
-    try:
-        payload = json.loads(Path(path).read_text())
-        d = int(payload["d"])
-        v = np.zeros(vector_length(d))
-        from .identify import vector_index
-
-        for e in payload["entries"]:
-            v[vector_index(int(e["i"]), int(e["j"]), d) - 1] = float(e["value"])
-        return v, d
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise FileFormatError(f"cannot parse labeled vector {path}: {exc}") from exc
-
-
-def _position_labels(d: int) -> list[str]:
-    return [f"s{i}_{j}" for i, j in index_pairs(d)]
-
-
-def write_covariance_csv(w: np.ndarray, d: int, path: str | Path) -> None:
-    """Covariance over the scaling-vector layout with position labels."""
-    a = np.asarray(w, dtype=np.float64)
-    labels = _position_labels(d)
-    if a.shape != (len(labels), len(labels)):
-        raise ValidationError(f"covariance shape {a.shape} does not match d={d}")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["position", *labels])
-        for name, row in zip(labels, a):
-            writer.writerow([name, *(_fmt(v) for v in row)])
-
-
-def write_covariance_json(w: np.ndarray, d: int, path: str | Path) -> None:
-    a = np.asarray(w, dtype=np.float64)
-    payload = {
-        "d": d,
-        "labels": [[i, j] for i, j in index_pairs(d)],
-        "matrix": [[float(v) for v in row] for row in a],
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-
-# ---------------------------------------------------------------------------
 # learn results and DOT
 
 
@@ -288,20 +204,13 @@ def learn_result_payload(result: LearnResult) -> dict:
     }
 
 
-def write_learn_result_json(result: LearnResult, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(learn_result_payload(result), indent=2) + "\n")
-
-
 def write_dot(
-    coef: np.ndarray,
-    path: str | Path,
-    labels: Sequence[str] | None = None,
-    prune: float = 0.0,
+    coef: np.ndarray, path: str | Path, labels: Sequence[str] | None = None
 ) -> None:
     """DOT graph of the DAG implied by a coefficient matrix.
 
-    Edge j -> i appears exactly when the (i, j) off-diagonal entry
-    exceeds ``prune`` (default: any positive value).
+    Edge j -> i appears exactly when the (i, j) off-diagonal entry is
+    positive.
     """
     a = np.asarray(coef, dtype=np.float64)
     d = a.shape[0]
@@ -311,7 +220,7 @@ def write_dot(
         lines.append(f'  n{i + 1} [label="{names[i]}"];')
     for i in range(d):
         for j in range(d):
-            if i != j and a[i, j] > prune:
+            if i != j and a[i, j] > 0.0:
                 lines.append(f'  n{j + 1} -> n{i + 1} [label="{a[i, j]:.3f}"];')
     lines.append("}")
     Path(path).write_text("\n".join(lines) + "\n")

@@ -40,11 +40,12 @@ def vector_index(i: int, j: int, d: int) -> int:
     """Position (1-based) of the pair (i, j), i <= j, in the scaling vector.
 
     The layout is row-wise over the upper triangle: block i occupies
-    positions after the i-1 earlier blocks of lengths d, d-1, ...
+    positions after the i-1 earlier blocks of lengths d, d-1, ..., and
+    the blocks up to and including block i hold i*d - i(i-1)/2 entries.
     """
     if not 1 <= i <= j <= d:
         raise ValidationError(f"need 1 <= i <= j <= d, got i={i}, j={j}, d={d}")
-    return (j - d) + sum(d - k for k in range(i))
+    return (j - d) + i * d - i * (i - 1) // 2
 
 
 def index_pairs(d: int) -> list[tuple[int, int]]:
@@ -186,20 +187,15 @@ class RecoveredCoefficients:
     diagonal_positive: bool
 
 
-def coefficients_from_squares(
-    a2: np.ndarray, d: int, renormalize: bool = False
-) -> RecoveredCoefficients:
+def coefficients_from_squares(a2: np.ndarray, d: int) -> RecoveredCoefficients:
     """Turn a squared-coefficient vector into an upper-triangular matrix.
 
     Negative entries are clipped to zero before the entrywise square
-    root.  Row norms of the result are reported as-is by downstream
-    code; ``renormalize=True`` divides each row by its Euclidean norm
-    instead of keeping the raw clipped values.
+    root; row norms of the result are reported as-is by downstream code.
 
     Args:
         a2: vectorized squared coefficients, length d(d+1)/2.
         d: dimension.
-        renormalize: rescale rows to unit norm after clipping.
     """
     v = np.asarray(a2, dtype=np.float64)
     k = vector_length(d)
@@ -211,8 +207,4 @@ def coefficients_from_squares(
     mat = np.zeros((d, d), dtype=np.float64)
     for (i, j), value in zip(index_pairs(d), v):
         mat[i - 1, j - 1] = np.sqrt(max(value, 0.0))
-    if renormalize:
-        norms = np.sqrt((mat**2).sum(axis=1))
-        ok = norms > 0.0
-        mat[ok] /= norms[ok, None]
     return RecoveredCoefficients(matrix=mat, diagonal_positive=diag_ok)

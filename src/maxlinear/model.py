@@ -31,12 +31,9 @@ from .errors import ValidationError
 SIMULATION_BLOCK = 16384
 
 
-def as_coefficient_matrix(coef: np.ndarray) -> np.ndarray:
-    """Validate and return a model coefficient matrix as float64.
-
-    Requires a square matrix with non-negative entries and strictly
-    positive diagonal.
-    """
+def _as_sampling_matrix(coef: np.ndarray) -> np.ndarray:
+    """A square, finite, non-negative float64 matrix: all that sampling
+    ``X = A x_max Z`` needs."""
     a = np.asarray(coef, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"coefficient matrix must be square, got shape {a.shape}")
@@ -44,6 +41,16 @@ def as_coefficient_matrix(coef: np.ndarray) -> np.ndarray:
         raise ValidationError("coefficient matrix has non-finite entries")
     if np.any(a < 0.0):
         raise ValidationError("coefficient matrix has negative entries")
+    return a
+
+
+def as_coefficient_matrix(coef: np.ndarray) -> np.ndarray:
+    """Validate and return a model coefficient matrix as float64.
+
+    Requires a square matrix with non-negative entries and strictly
+    positive diagonal.
+    """
+    a = _as_sampling_matrix(coef)
     if np.any(np.diag(a) <= 0.0):
         raise ValidationError("coefficient matrix diagonal must be strictly positive")
     return a
@@ -102,21 +109,6 @@ def max_matrix_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class InnovationSpec:
-    """Innovation law for simulation: i.i.d. unit-scale Frechet(2)
-    components, ``P(Z <= x) = exp(-x^{-2})``, drawn from a splittable
-    seeded stream.
-    """
-
-    dimension: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.dimension < 1:
-            raise ValidationError("dimension must be >= 1")
-
-
 def _frechet2_block(rng: np.random.Generator, rows: int, d: int) -> np.ndarray:
     # Inverse transform; rows are drawn in C order, so each row consumes
     # its d uniforms in column order.  rng.random lives in [0, 1): the
@@ -130,40 +122,34 @@ def _frechet2_block(rng: np.random.Generator, rows: int, d: int) -> np.ndarray:
     return (-np.log(u)) ** -0.5
 
 
-def simulate(
-    coef: np.ndarray,
-    spec: InnovationSpec | int,
-    n: int,
-    workers: int = 1,
-) -> np.ndarray:
+def simulate(coef: np.ndarray, seed: int, n: int, workers: int = 1) -> np.ndarray:
     """Draw n observations of the max-linear vector ``X = A x_max Z``.
 
     Innovations are generated in fixed-size blocks, each from a child
     seed spawned off the master seed, so the result is identical for
     any ``workers`` count and can be regenerated block by block.
 
+    The matrix needs only to be square, finite and non-negative: a zero
+    diagonal entry (as in a clipped estimate) is sampled as it stands.
+
     Args:
         coef: d x d coefficient matrix.
-        spec: innovation specification, or a bare integer seed.
+        seed: master seed of the innovation stream.
         n: number of rows, >= 1.
         workers: thread count for block generation.
 
     Returns:
         (n, d) sample matrix.
     """
-    a = as_coefficient_matrix(coef)
+    a = _as_sampling_matrix(coef)
     d = a.shape[0]
-    if isinstance(spec, (int, np.integer)):
-        spec = InnovationSpec(dimension=d, seed=int(spec))
-    if spec.dimension != d:
-        raise ValidationError(
-            f"innovation dimension {spec.dimension} does not match d={d}"
-        )
+    if d < 1:
+        raise ValidationError("dimension must be >= 1")
     if n < 1:
         raise ValidationError("n must be >= 1")
     at = np.ascontiguousarray(a.T)
     n_blocks = (n + SIMULATION_BLOCK - 1) // SIMULATION_BLOCK
-    children = np.random.SeedSequence(spec.seed).spawn(n_blocks)
+    children = np.random.SeedSequence(int(seed)).spawn(n_blocks)
     out = np.empty((n, d), dtype=np.float64)
 
     def fill(b: int) -> None:

@@ -236,10 +236,14 @@ def _generation_deltas(
 
 
 def _pairwise_delta_bounds(
-    x: np.ndarray, cfg: ReorderConfig, k: int
+    x: np.ndarray, provider: SpectralScalings, cfg: ReorderConfig
 ) -> dict[int, tuple[float, float]]:
+    # The plain scaling of a pair {i, m} does not depend on the column
+    # order, so it comes from the provider's cache; the inflated one
+    # does (only m is inflated) and is estimated for each ordered pair.
     a = np.asarray(x, dtype=np.float64)
     d = a.shape[1]
+    k = provider.threshold_count
     offset = cfg.a**2 - 1.0
     bounds: dict[int, tuple[float, float]] = {}
     for m in range(1, d + 1):
@@ -250,7 +254,7 @@ def _pairwise_delta_bounds(
             else:
                 pair = a[:, [i - 1, m - 1]]
                 inflated = estimate_rescaled_max_scaling(pair, (), 2, cfg.a, k)
-                plain = estimate_max_scaling(pair, (1, 2), k)
+                plain = provider.max_scaling((i, m))
                 delta = inflated - plain - offset
             lo, hi = min(lo, delta), max(hi, delta)
         bounds[m] = (lo, hi)
@@ -325,14 +329,16 @@ def _threshold_pass(provider: ScalingProvider, cfg: ReorderConfig) -> DeltaPass:
     return DeltaPass("initial", (), _single(deltas), tuple(accepted))
 
 
-def _pairwise_pass(x: np.ndarray, cfg: ReorderConfig, k: int) -> DeltaPass:
+def _pairwise_pass(
+    x: np.ndarray, provider: SpectralScalings, cfg: ReorderConfig
+) -> DeltaPass:
     """Initial pass on a sample, screening each node against every partner.
 
     For each candidate m the delta is computed on the two columns (i, m)
     alone; m passes when the largest delta stays below eps1 and the
     smallest above -eps2.
     """
-    bounds = _pairwise_delta_bounds(x, cfg, k)
+    bounds = _pairwise_delta_bounds(x, provider, cfg)
     accepted = sorted(
         m for m, (lo, hi) in bounds.items() if hi <= cfg.eps1 and lo >= -cfg.eps2
     )
@@ -431,5 +437,5 @@ def learn_order(
         if k is None:
             raise ValidationError("k is required when learning from data")
         provider = SpectralScalings(x, k)
-        return _discover(provider, _pairwise_pass(x, cfg, k), cfg, "argmax")
+        return _discover(provider, _pairwise_pass(x, provider, cfg), cfg, "argmax")
     return _discover(x, _threshold_pass(x, cfg), cfg, "argmax")

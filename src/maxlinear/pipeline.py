@@ -52,7 +52,6 @@ from .identify import (
 )
 from .model import (
     as_coefficient_matrix,
-    max_matrix_product,
     simulate,
     standardize,
 )
@@ -79,13 +78,6 @@ TEN_NODE_PRESET = "ten-node"
 
 def _timing(label: str, start: float) -> None:
     print(f"{label}: {time.perf_counter() - start:.3f}s", file=sys.stderr)
-
-
-def _read_matrix_auto(path: str | Path) -> np.ndarray:
-    p = Path(path)
-    if p.suffix.lower() == ".json":
-        return fileio.read_matrix_json(p)
-    return fileio.read_matrix_csv(p)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +113,7 @@ def _resolve_weights(
         return random_weights(dag, rng)
     if cfg.weights == "unit":
         return unit_weights(dag)
-    weights = _read_matrix_auto(cfg.weights)
+    weights = fileio.read_matrix_auto(cfg.weights)
     validate_edge_weights(dag, weights)
     return weights
 
@@ -258,7 +250,7 @@ def run_learn(cfg: LearnConfig) -> dict:
     out.mkdir(parents=True, exist_ok=True)
 
     if cfg.model is not None:
-        coef = standardize(as_coefficient_matrix(_read_matrix_auto(cfg.model)))
+        coef = standardize(as_coefficient_matrix(fileio.read_matrix_auto(cfg.model)))
         d = coef.shape[0]
         columns = fileio.default_column_names(d)
         rcfg = _reorder_config(cfg, ReorderConfig.simulation_preset())
@@ -270,9 +262,9 @@ def run_learn(cfg: LearnConfig) -> dict:
         x, columns = fileio.read_sample_csv(cfg.data)
         n, d = x.shape
         k_used = cfg.k if cfg.k is not None else default_threshold_count(n)
-        if k_used > n:
+        if not 1 <= k_used <= n:
             raise ValidationError(
-                f"threshold count k={k_used} exceeds sample size n={n}"
+                f"threshold count k={k_used} must lie in 1..n for sample size n={n}"
             )
         xt = _transform_sample(x, cfg.transform)
         rcfg = _reorder_config(cfg, ReorderConfig.data_preset())
@@ -318,7 +310,7 @@ def run_learn(cfg: LearnConfig) -> dict:
 
     (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
     fileio.write_matrix_csv(original, out / "coefficients.csv")
-    fileio.write_dot(original, out / "model.dot", labels=columns, prune=0.0)
+    fileio.write_dot(original, out / "model.dot", labels=columns)
     _timing("learn", start)
     return report
 
@@ -533,20 +525,6 @@ def _parse_pairs(spec: str, d: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def _simulate_from_matrix(a: np.ndarray, seed: int, n: int) -> np.ndarray:
-    """Max-linear sample from an arbitrary non-negative matrix.
-
-    Unlike ``model.simulate`` this does not require positive diagonal
-    entries, so clipped estimated matrices are accepted as-is.
-    """
-    d = a.shape[0]
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    u = rng.random((n, d))
-    u = np.where(u > 0.0, u, np.nextafter(0.0, 1.0))
-    z = np.power(-np.log(u), -0.5)
-    return max_matrix_product(z, a.T)
-
-
 def _top_pair_rows(x: np.ndarray, i: int, j: int, count: int) -> np.ndarray:
     r2 = np.square(x[:, i - 1]) + np.square(x[:, j - 1])
     take = min(count, x.shape[0])
@@ -577,10 +555,10 @@ def run_extremes(cfg: ExtremesConfig) -> int:
     if cfg.source in ("simulated", "both"):
         if cfg.model is None:
             raise ValidationError("simulated extremes need model= coefficients")
-        a = np.asarray(_read_matrix_auto(cfg.model), dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != d:
+        a = fileio.read_matrix_auto(cfg.model)
+        if a.shape != (d, d):
             raise ValidationError("model matrix shape does not match the data")
-        sources.append(("simulated", _simulate_from_matrix(a, cfg.seed, n)))
+        sources.append(("simulated", simulate(a, cfg.seed, n)))
 
     out = Path(cfg.out_path)
     if out.parent != Path(""):

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from maxlinear import simulate, ten_node_model
 from maxlinear.cli import main
 from maxlinear.fileio import read_sample_csv, write_sample_csv
 
@@ -204,6 +205,49 @@ def test_unknown_scalings_via_config_is_validation_error(tmp_path, sim_dir):
         ]
     )
     assert rc == 2
+
+
+@pytest.fixture()
+def small_sample_csv(tmp_path):
+    data = tmp_path / "small.csv"
+    write_sample_csv(simulate(ten_node_model(), 0, 200), data)
+    return data
+
+
+@pytest.mark.parametrize("scalings", ["mle", "spectral"])
+@pytest.mark.parametrize("k", ["0", "-3", "201"])
+def test_learn_k_outside_one_to_n_is_validation_error(
+    tmp_path, small_sample_csv, scalings, k, capsys
+):
+    out = tmp_path / "learn"
+    argv = ["learn", "--out", str(out), "--data", str(small_sample_csv)]
+    rc = main([*argv, "--scalings", scalings, "--k", k])
+    assert rc == 2
+    assert "threshold count" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_extremes_model_must_be_finite_and_non_negative(tmp_path, small_sample_csv):
+    argv = ["extremes", "--data", str(small_sample_csv), "--pairs", "1-2"]
+    argv += ["--count", "3", "--source", "simulated"]
+    coef = np.eye(10)
+    for bad in (np.nan, -0.5):
+        coef[0, 1] = bad
+        model = tmp_path / "bad.csv"
+        np.savetxt(model, coef, delimiter=",")
+        out = tmp_path / "bad_ext.csv"
+        assert main([*argv, "--out", str(out), "--model", str(model)]) == 2
+        assert not out.exists()
+    # a clipped estimate with a zero diagonal entry is still sampled
+    coef = np.eye(10)
+    coef[0, 0], coef[0, 1] = 0.0, 1.0
+    model = tmp_path / "clipped.csv"
+    np.savetxt(model, coef, delimiter=",")
+    out = tmp_path / "ext.csv"
+    assert main([*argv, "--out", str(out), "--model", str(model)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 3
+    assert all(r[2] == "simulated" and float(r[3]) == float(r[4]) for r in rows)
 
 
 def test_argparse_rejects_unknown_choice(tmp_path):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxlinear import (
-    EstimationConfig,
     ThresholdError,
     ValidationError,
     default_threshold_count,
@@ -43,15 +42,6 @@ def test_default_threshold_count_values():
     assert default_threshold_count(1) == 1
     with pytest.raises(ValidationError):
         default_threshold_count(0)
-
-
-def test_estimation_config_resolve():
-    assert EstimationConfig().resolve(400) == 20
-    assert EstimationConfig(threshold_count=7).resolve(400) == 7
-    with pytest.raises(ValidationError):
-        EstimationConfig(threshold_count=401).resolve(400)
-    with pytest.raises(ValidationError):
-        EstimationConfig(threshold_count=0).resolve(400)
 
 
 # ---------------------------------------------------------------------------

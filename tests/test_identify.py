@@ -197,14 +197,6 @@ def test_coefficients_from_squares_reports_nonpositive_diagonal():
     assert rec.matrix[0, 0] == 0.0
 
 
-def test_coefficients_from_squares_renormalize(two_node_model):
-    s = scaling_vector(two_node_model)
-    a2 = squared_coefficients(s, 2) * 4.0  # uniformly inflated squares
-    rec = coefficients_from_squares(a2, 2, renormalize=True)
-    assert np.allclose(np.linalg.norm(rec.matrix, axis=1), 1.0)
-    assert np.allclose(rec.matrix, two_node_model, atol=1e-12)
-
-
 def test_coefficients_from_squares_validates_length():
     with pytest.raises(ValidationError):
         coefficients_from_squares(np.ones(4), 2)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxlinear import (
-    InnovationSpec,
     ValidationError,
     as_coefficient_matrix,
     extreme_dependence_measure,
@@ -155,8 +154,22 @@ def test_simulate_prefix_stable_within_block(two_node_model):
 def test_simulate_validates_inputs(two_node_model):
     with pytest.raises(ValidationError):
         simulate(two_node_model, 0, 0)
-    with pytest.raises(ValidationError):
-        simulate(two_node_model, InnovationSpec(dimension=3, seed=0), 10)
+    bad_matrices = (
+        np.zeros((0, 0)),
+        np.ones(3),
+        np.ones((2, 3)),
+        [[1.0, np.nan], [0.0, 1.0]],
+        [[1.0, -0.1], [0.0, 1.0]],
+    )
+    for bad in bad_matrices:
+        with pytest.raises(ValidationError):
+            simulate(bad, 0, 10)
+
+
+def test_simulate_accepts_zero_diagonal():
+    # a clipped estimate may lose a diagonal entry; sampling needs none
+    x = simulate([[0.0, 1.0], [0.0, 1.0]], 2, 50)
+    assert np.array_equal(x[:, 0], x[:, 1])
 
 
 def test_simulate_rows_are_max_combinations(two_node_model):

@@ -2,12 +2,18 @@
 
 Subcommands: simulate | learn | study | extremes | transform.
 
-Options can come from a single JSON config file (``--config``) whose
-keys match the long option names with dashes replaced by underscores;
-explicit command-line flags always win over config-file values.
+Each subcommand is one config dataclass of :mod:`maxlinear.pipeline` and
+the ``run_*`` function that takes it (``COMMANDS``).  Every field of the
+config is one ``--<field>`` flag and one key of the optional JSON config
+file (``--config``); the default lives only on the field, and explicit
+flags win over config-file values.  Values are read by the field's type:
+a ``bool`` field is a switch on the command line and JSON ``true`` or
+``false`` in a config file, and a tuple field takes a JSON list or a
+comma-separated string.  The configs check their own choice fields.
 
-Exit codes: 0 success; 2 validation/config error; 3 a threshold could
-not be met or no initial node was found; 4 file I/O or format error.
+Exit codes: 0 success; 2 validation/config error (including an unknown
+config key or a missing required option); 3 a threshold could not be met
+or no initial node was found; 4 file I/O or format error.
 """
 
 from __future__ import annotations
@@ -15,8 +21,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import types
+from dataclasses import MISSING, fields
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Sequence, get_args, get_origin, get_type_hints
 
 from .errors import (
     EmptyGenerationError,
@@ -43,8 +51,44 @@ EXIT_VALIDATION = 2
 EXIT_THRESHOLD = 3
 EXIT_IO = 4
 
+COMMANDS = {
+    "simulate": (SimulateConfig, run_simulate, "simulate a max-linear sample"),
+    "learn": (LearnConfig, run_learn, "learn order and coefficients"),
+    "study": (StudyConfig, run_study, "reordering success study"),
+    "extremes": (ExtremesConfig, run_extremes, "largest bivariate exceedances"),
+    "transform": (TransformConfig, run_transform, "margin transforms of a sample CSV"),
+}
 
-def _build_parser() -> argparse.ArgumentParser:
+HELP = {
+    "out": "output directory (simulate, learn, study) or CSV path (extremes, transform)",
+    "dag": "'ten-node' preset or a DAG file (text/JSON)",
+    "weights": "preset, paper (redrawn at random), unit or a matrix file; study: preset or paper",
+    "n": "number of observations",
+    "seed": "random seed",
+    "workers": "worker threads",
+    "data": "sample CSV (learn: estimated mode)",
+    "model": "coefficient matrix file (learn: exact-scalings mode; extremes: simulated source)",
+    "k": "radial threshold count for --scalings spectral; None means ceil(sqrt(n))",
+    "a": "scaling factor a > 1; None keeps the ordering preset",
+    "eps1": "initial-pass upper tolerance; None keeps the ordering preset",
+    "eps2": "initial-pass lower tolerance; None keeps the ordering preset",
+    "eps3": "generation-pass tolerance; None keeps the ordering preset",
+    "transform": "margin transform before estimation: frechet, negate-frechet or none",
+    "scalings": "data-mode estimator: mle (Fréchet likelihood) or spectral (angular, at k)",
+    "prune": "zero estimated off-diagonal coefficients below this value",
+    "diagnostics": "report degenerate recovery-variance directions",
+    "sizes": "sample sizes, comma-separated",
+    "runs": "runs per sample size",
+    "mode": "scaling source: estimated or exact-scalings",
+    "detail": "also write per-run outcomes",
+    "pairs": "'all' or a comma list like '1-2,3-4'",
+    "count": "exceedances per pair",
+    "source": "data source(s): real, simulated or both",
+    "ops": "comma list from negate, negative-part, frechet, applied in order",
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maxlinear",
         description=(
@@ -53,112 +97,16 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_config(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--config",
-            help="JSON config file; explicit flags override its values",
-        )
-
-    p = sub.add_parser("simulate", help="simulate a max-linear sample")
-    add_config(p)
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--dag", help="'ten-node' preset or a DAG file (text/JSON)")
-    p.add_argument(
-        "--weights",
-        help="'preset', 'paper' (random draw), 'unit', or a matrix file",
-    )
-    p.add_argument("--n", type=int, help="number of observations")
-    p.add_argument("--seed", type=int, help="random seed")
-    p.add_argument("--workers", type=int, help="simulation worker threads")
-
-    p = sub.add_parser("learn", help="learn order and coefficients")
-    add_config(p)
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--data", help="sample CSV (estimated mode)")
-    p.add_argument(
-        "--model", help="coefficient matrix file (exact-scalings mode)"
-    )
-    p.add_argument(
-        "--k",
-        type=int,
-        help="radial threshold count, used only by --scalings spectral "
-        "(default ceil(sqrt(n)))",
-    )
-    p.add_argument("--a", type=float, help="scaling factor a > 1")
-    p.add_argument("--eps1", type=float, help="initial-pass upper tolerance")
-    p.add_argument("--eps2", type=float, help="initial-pass lower tolerance")
-    p.add_argument("--eps3", type=float, help="generation-pass tolerance")
-    p.add_argument(
-        "--transform",
-        choices=["frechet", "negate-frechet", "none"],
-        help="margin transform applied to the data before estimation",
-    )
-    p.add_argument(
-        "--scalings",
-        choices=["mle", "spectral"],
-        help="data-mode scaling estimator: Fréchet maximum likelihood "
-        "(default) or the angular estimators at threshold count k",
-    )
-    p.add_argument(
-        "--prune",
-        type=float,
-        help="zero estimated off-diagonal coefficients below this value",
-    )
-    p.add_argument(
-        "--diagnostics",
-        action="store_true",
-        default=None,
-        help="report degenerate recovery-variance directions",
-    )
-
-    p = sub.add_parser("study", help="reordering success study")
-    add_config(p)
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--sizes", help="comma-separated sample sizes")
-    p.add_argument("--runs", type=int, help="runs per sample size")
-    p.add_argument("--seed", type=int, help="master random seed")
-    p.add_argument("--a", type=float, help="scaling factor a > 1")
-    p.add_argument("--eps1", type=float)
-    p.add_argument("--eps2", type=float)
-    p.add_argument("--eps3", type=float)
-    p.add_argument(
-        "--mode", choices=["estimated", "exact-scalings"], help="scaling source"
-    )
-    p.add_argument(
-        "--weights",
-        choices=["preset", "paper"],
-        help="edge weights: fixed preset matrix, or redrawn from the grid per run",
-    )
-    p.add_argument("--workers", type=int, help="worker threads across replicates")
-    p.add_argument(
-        "--detail",
-        action="store_true",
-        default=None,
-        help="also write per-run outcomes",
-    )
-
-    p = sub.add_parser("extremes", help="largest bivariate exceedances")
-    add_config(p)
-    p.add_argument("--data", help="sample CSV")
-    p.add_argument("--out", help="output CSV path")
-    p.add_argument("--pairs", help="'all' or comma list like '1-2,3-4'")
-    p.add_argument("--count", type=int, help="exceedances per pair (default 50)")
-    p.add_argument(
-        "--source", choices=["real", "simulated", "both"], help="data source(s)"
-    )
-    p.add_argument("--model", help="coefficient matrix for the simulated source")
-    p.add_argument("--seed", type=int, help="seed for the simulated source")
-
-    p = sub.add_parser("transform", help="margin transforms of a sample CSV")
-    add_config(p)
-    p.add_argument("--data", help="input sample CSV")
-    p.add_argument("--out", help="output CSV path")
-    p.add_argument(
-        "--ops",
-        help="comma list from negate, negative-part, frechet (default frechet)",
-    )
-
+    for name, (cls, _, text) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", help="JSON config file; explicit flags override its values")
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            default = "required" if f.default is MISSING else f"default: {f.default}"
+            kw: dict[str, Any] = {"help": f"{HELP[f.name]} ({default})"}
+            if hints[f.name] is bool:
+                kw.update(action="store_true", default=None)
+            p.add_argument(f"--{f.name}", **kw)
     return parser
 
 
@@ -178,125 +126,49 @@ def _load_config_file(path: str | None) -> dict[str, Any]:
     return payload
 
 
-class _Options:
-    """Flag values override config-file values; both override defaults."""
-
-    def __init__(self, args: argparse.Namespace, config: dict[str, Any]):
-        self._args = args
-        self._config = config
-
-    def get(self, name: str, default: Any = None) -> Any:
-        flag = getattr(self._args, name, None)
-        if flag is not None:
-            return flag
-        if name in self._config:
-            return self._config[name]
-        return default
-
-    def require(self, name: str) -> Any:
-        value = self.get(name)
-        if value is None:
-            raise ValidationError(f"missing required option: {name}")
+def _coerce(name: str, hint: Any, value: Any) -> Any:
+    """``value`` (a flag string or a JSON value) as the type ``hint``."""
+    if isinstance(hint, types.UnionType):  # X | None; None means "not given"
+        (hint,) = [h for h in get_args(hint) if h is not type(None)]
+    if hint is bool:
+        if not isinstance(value, bool):
+            raise ValidationError(f"option {name} must be true or false, got {value!r}")
         return value
-
-
-def _parse_sizes(value: Any) -> tuple[int, ...]:
-    if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            value = [tok.strip() for tok in str(value).split(",") if tok.strip()]
+        return tuple(_coerce(name, get_args(hint)[0], v) for v in value)
     try:
-        return tuple(int(tok) for tok in str(value).split(",") if tok.strip())
-    except ValueError as exc:
-        raise ValidationError(f"cannot parse sizes {value!r}") from exc
+        return hint(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"option {name}: cannot read {value!r} as {hint.__name__}"
+        ) from exc
 
 
-def _parse_ops(value: Any) -> tuple[str, ...]:
-    if isinstance(value, (list, tuple)):
-        return tuple(str(v) for v in value)
-    return tuple(tok.strip() for tok in str(value).split(",") if tok.strip())
-
-
-def _dispatch(args: argparse.Namespace) -> None:
-    opts = _Options(args, _load_config_file(getattr(args, "config", None)))
-    if args.command == "simulate":
-        run_simulate(
-            SimulateConfig(
-                out_dir=opts.require("out"),
-                dag=str(opts.get("dag", "ten-node")),
-                weights=str(opts.get("weights", "preset")),
-                n=int(opts.get("n", 10_000)),
-                seed=int(opts.get("seed", 0)),
-                workers=int(opts.get("workers", 1)),
-            )
-        )
-    elif args.command == "learn":
-        k = opts.get("k")
-        run_learn(
-            LearnConfig(
-                out_dir=opts.require("out"),
-                data=opts.get("data"),
-                model=opts.get("model"),
-                k=int(k) if k is not None else None,
-                a=_opt_float(opts, "a"),
-                eps1=_opt_float(opts, "eps1"),
-                eps2=_opt_float(opts, "eps2"),
-                eps3=_opt_float(opts, "eps3"),
-                transform=str(opts.get("transform", "frechet")),
-                scalings=str(opts.get("scalings", "mle")),
-                prune=float(opts.get("prune", 0.0)),
-                diagnostics=bool(opts.get("diagnostics", False)),
-            )
-        )
-    elif args.command == "study":
-        run_study(
-            StudyConfig(
-                out_dir=opts.require("out"),
-                sizes=_parse_sizes(opts.get("sizes", "2000,3000,5000,10000")),
-                runs=int(opts.get("runs", 100)),
-                seed=int(opts.get("seed", 0)),
-                a=_opt_float(opts, "a"),
-                eps1=_opt_float(opts, "eps1"),
-                eps2=_opt_float(opts, "eps2"),
-                eps3=_opt_float(opts, "eps3"),
-                mode=str(opts.get("mode", "estimated")),
-                weights=str(opts.get("weights", "preset")),
-                workers=int(opts.get("workers", 1)),
-                detail=bool(opts.get("detail", False)),
-            )
-        )
-    elif args.command == "extremes":
-        run_extremes(
-            ExtremesConfig(
-                out_path=opts.require("out"),
-                data=opts.require("data"),
-                pairs=str(opts.get("pairs", "all")),
-                count=int(opts.get("count", 50)),
-                source=str(opts.get("source", "real")),
-                model=opts.get("model"),
-                seed=int(opts.get("seed", 0)),
-            )
-        )
-    elif args.command == "transform":
-        run_transform(
-            TransformConfig(
-                data=opts.require("data"),
-                out_path=opts.require("out"),
-                ops=_parse_ops(opts.get("ops", "frechet")),
-            )
-        )
-    else:  # pragma: no cover - argparse enforces the choices
-        raise ValidationError(f"unknown command {args.command!r}")
-
-
-def _opt_float(opts: _Options, name: str) -> float | None:
-    value = opts.get(name)
-    return float(value) if value is not None else None
+def _make_config(cls: type, args: argparse.Namespace) -> Any:
+    """The config ``cls`` from the config file under flag overrides."""
+    names = {f.name for f in fields(cls)}
+    given = _load_config_file(args.config)
+    unknown = sorted(set(given) - names)
+    if unknown:
+        raise ValidationError(f"unknown config key(s): {', '.join(unknown)}")
+    given.update({k: v for k, v in vars(args).items() if k in names and v is not None})
+    hints = get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        if given.get(f.name) is not None:
+            values[f.name] = _coerce(f.name, hints[f.name], given[f.name])
+        elif f.default is MISSING:
+            raise ValidationError(f"missing required option: {f.name}")
+    return cls(**values)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    cls, run, _ = COMMANDS[args.command]
     try:
-        _dispatch(args)
+        run(_make_config(cls, args))
     except (ThresholdError, NoInitialNodeError, EmptyGenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_THRESHOLD

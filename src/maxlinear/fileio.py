@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from pathlib import Path
 from typing import Sequence
 
@@ -32,10 +33,6 @@ from .errors import FileFormatError, ValidationError
 from .ordering import LearnResult
 
 FLOAT_FMT = "%.17g"
-
-
-def _fmt(v: float) -> str:
-    return FLOAT_FMT % float(v)
 
 
 # ---------------------------------------------------------------------------
@@ -87,9 +84,12 @@ def read_dag_auto(path: str | Path) -> DagStructure:
 def write_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:
     a = np.asarray(matrix, dtype=np.float64)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in a:
-            writer.writerow([_fmt(v) for v in row])
+        _write_rows(fh, a)
+
+
+def _write_rows(fh, a: np.ndarray) -> None:
+    """Rows in the line format of ``csv.writer``: comma-separated, CRLF."""
+    np.savetxt(fh, a, fmt=FLOAT_FMT, delimiter=",", newline="\r\n")
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:
@@ -136,33 +136,25 @@ def write_sample_csv(
     if len(names) != a.shape[1]:
         raise ValidationError("column-name count does not match sample width")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in a:
-            writer.writerow([_fmt(v) for v in row])
+        csv.writer(fh).writerow(names)
+        _write_rows(fh, a)
 
 
 def read_sample_csv(path: str | Path) -> tuple[np.ndarray, list[str]]:
     """Read a header CSV sample; returns (matrix, column names)."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise FileFormatError(f"sample CSV {path} is empty") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise FileFormatError(
-                    f"sample CSV {path} line {lineno}: {exc}"
-                ) from exc
-    if not rows:
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                a = np.loadtxt(fh, delimiter=",", ndmin=2, quotechar='"')
+        except ValueError as exc:
+            raise FileFormatError(f"sample CSV {path}: {exc}") from exc
+    if a.size == 0:
         raise FileFormatError(f"sample CSV {path} has no data rows")
-    a = np.asarray(rows, dtype=np.float64)
     if a.shape[1] != len(header):
         raise FileFormatError(f"sample CSV {path}: ragged rows")
     return a, [h.strip() for h in header]

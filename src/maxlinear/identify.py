@@ -31,6 +31,11 @@ from .model import max_scaling
 
 SparseRow = tuple[tuple[int, int], ...]  # ((position, sign), ...) 1-based
 
+# Squared coefficients of a standardized model are signed sums of O(1)
+# scalings, so a value within this distance of zero is a rounding residue
+# of the recovery, not a coefficient: it is read as an exact zero.
+SQUARE_RESIDUE = 1e-12
+
 
 def vector_length(d: int) -> int:
     return d * (d + 1) // 2
@@ -190,8 +195,9 @@ class RecoveredCoefficients:
 def coefficients_from_squares(a2: np.ndarray, d: int) -> RecoveredCoefficients:
     """Turn a squared-coefficient vector into an upper-triangular matrix.
 
-    Negative entries are clipped to zero before the entrywise square
-    root; row norms of the result are reported as-is by downstream code.
+    Entries within ``SQUARE_RESIDUE`` of zero count as zero and negative
+    entries are clipped to zero before the entrywise square root; row
+    norms of the result are reported as-is by downstream code.
 
     Args:
         a2: vectorized squared coefficients, length d(d+1)/2.
@@ -201,6 +207,7 @@ def coefficients_from_squares(a2: np.ndarray, d: int) -> RecoveredCoefficients:
     k = vector_length(d)
     if v.shape != (k,):
         raise ValidationError(f"squared-coefficient vector must have length {k}")
+    v = np.where(np.abs(v) <= SQUARE_RESIDUE, 0.0, v)
     diag_ok = all(
         v[vector_index(i, i, d) - 1] > 0.0 for i in range(1, d + 1)
     )

@@ -56,6 +56,7 @@ from .model import (
     standardize,
 )
 from .ordering import (
+    MODES,
     ExactScalings,
     FrechetMleScalings,
     LearnResult,
@@ -80,13 +81,18 @@ def _timing(label: str, start: float) -> None:
     print(f"{label}: {time.perf_counter() - start:.3f}s", file=sys.stderr)
 
 
+def _check_choice(name: str, value: str, allowed: tuple[str, ...]) -> None:
+    if value not in allowed:
+        raise ValidationError(f"{name} must be one of {allowed}, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
 
 @dataclass(frozen=True)
 class SimulateConfig:
-    out_dir: str
+    out: str
     dag: str = TEN_NODE_PRESET  # preset name or DAG file path
     weights: str = "preset"  # preset | paper | unit | matrix file path
     n: int = 10_000
@@ -120,7 +126,7 @@ def _resolve_weights(
 
 def run_simulate(cfg: SimulateConfig) -> dict:
     start = time.perf_counter()
-    out = Path(cfg.out_dir)
+    out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
 
     dag = _resolve_dag(cfg.dag)
@@ -153,9 +159,13 @@ def run_simulate(cfg: SimulateConfig) -> dict:
 # learn
 
 
+LEARN_SCALINGS = ("mle", "spectral")
+LEARN_TRANSFORMS = ("frechet", "negate-frechet", "none")
+
+
 @dataclass(frozen=True)
 class LearnConfig:
-    out_dir: str
+    out: str
     data: str | None = None  # sample CSV (estimated mode)
     model: str | None = None  # coefficient matrix file (exact-scalings mode)
     k: int | None = None
@@ -163,13 +173,14 @@ class LearnConfig:
     eps1: float | None = None
     eps2: float | None = None
     eps3: float | None = None
-    transform: str = "frechet"  # frechet | negate-frechet | none
-    scalings: str = "mle"  # mle | spectral (data mode only; k is used by spectral)
+    transform: str = "frechet"  # one of LEARN_TRANSFORMS
+    scalings: str = "mle"  # one of LEARN_SCALINGS (data mode only; k is used by spectral)
     prune: float = 0.0
     diagnostics: bool = False
 
-
-LEARN_SCALINGS = ("mle", "spectral")
+    def __post_init__(self) -> None:
+        _check_choice("scalings", self.scalings, LEARN_SCALINGS)
+        _check_choice("transform", self.transform, LEARN_TRANSFORMS)
 
 
 def _reorder_config(
@@ -233,20 +244,14 @@ def _transform_sample(x: np.ndarray, how: str) -> np.ndarray:
         return np.asarray(x, dtype=np.float64)
     if how == "frechet":
         return empirical_frechet_transform(x)
-    if how == "negate-frechet":
-        return empirical_frechet_transform(-np.asarray(x, dtype=np.float64))
-    raise ValidationError(f"unknown transform {how!r}")
+    return empirical_frechet_transform(-np.asarray(x, dtype=np.float64))  # negate-frechet
 
 
 def run_learn(cfg: LearnConfig) -> dict:
     start = time.perf_counter()
     if (cfg.data is None) == (cfg.model is None):
         raise ValidationError("exactly one of data= or model= must be given")
-    if cfg.scalings not in LEARN_SCALINGS:
-        raise ValidationError(
-            f"scalings must be one of {LEARN_SCALINGS}, got {cfg.scalings!r}"
-        )
-    out = Path(cfg.out_dir)
+    out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
 
     if cfg.model is not None:
@@ -341,7 +346,7 @@ STUDY_WEIGHT_POLICIES = ("preset", "paper")
 
 @dataclass(frozen=True)
 class StudyConfig:
-    out_dir: str
+    out: str
     sizes: tuple[int, ...] = (2000, 3000, 5000, 10_000)
     runs: int = 100
     seed: int = 0
@@ -349,10 +354,14 @@ class StudyConfig:
     eps1: float | None = None
     eps2: float | None = None
     eps3: float | None = None
-    mode: str = "estimated"  # estimated | exact-scalings
+    mode: str = "estimated"  # one of ordering.MODES
     weights: str = "preset"  # preset (one fixed matrix) | paper (redrawn per run)
     workers: int = 1
     detail: bool = False
+
+    def __post_init__(self) -> None:
+        _check_choice("mode", self.mode, MODES)
+        _check_choice("weights", self.weights, STUDY_WEIGHT_POLICIES)
 
 
 @dataclass(frozen=True)
@@ -417,15 +426,11 @@ def _study_replicate(
 
 def run_study(cfg: StudyConfig) -> StudyResult:
     start = time.perf_counter()
-    out = Path(cfg.out_dir)
+    out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     rcfg = _reorder_config(
         cfg, replace(ReorderConfig.simulation_preset(), mode=cfg.mode)
     )
-    if cfg.weights not in STUDY_WEIGHT_POLICIES:
-        raise ValidationError(
-            f"study weight policy must be one of {STUDY_WEIGHT_POLICIES}, got {cfg.weights!r}"
-        )
 
     jobs = [(size, run) for size in cfg.sizes for run in range(cfg.runs)]
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(jobs))
@@ -493,15 +498,21 @@ def run_study(cfg: StudyConfig) -> StudyResult:
 # extremes
 
 
+EXTREMES_SOURCES = ("real", "simulated", "both")
+
+
 @dataclass(frozen=True)
 class ExtremesConfig:
-    out_path: str
+    out: str
     data: str
     pairs: str = "all"  # "all" or "i-j,i-j,..."
     count: int = 50
-    source: str = "real"  # real | simulated | both
+    source: str = "real"  # one of EXTREMES_SOURCES
     model: str | None = None  # coefficient matrix for the simulated source
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        _check_choice("source", self.source, EXTREMES_SOURCES)
 
 
 def _parse_pairs(spec: str, d: int) -> list[tuple[int, int]]:
@@ -537,8 +548,6 @@ def run_extremes(cfg: ExtremesConfig) -> int:
     x, _ = fileio.read_sample_csv(cfg.data)
     n, d = x.shape
     pairs = _parse_pairs(cfg.pairs, d)
-    if cfg.source not in ("real", "simulated", "both"):
-        raise ValidationError(f"unknown extremes source {cfg.source!r}")
     count = cfg.count
     if count > n:
         print(
@@ -560,7 +569,7 @@ def run_extremes(cfg: ExtremesConfig) -> int:
             raise ValidationError("model matrix shape does not match the data")
         sources.append(("simulated", simulate(a, cfg.seed, n)))
 
-    out = Path(cfg.out_path)
+    out = Path(cfg.out)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
     written = 0
@@ -582,11 +591,18 @@ def run_extremes(cfg: ExtremesConfig) -> int:
 # transform
 
 
+TRANSFORM_OPS = ("negate", "negative-part", "frechet")
+
+
 @dataclass(frozen=True)
 class TransformConfig:
     data: str
-    out_path: str
-    ops: tuple[str, ...] = ("frechet",)
+    out: str
+    ops: tuple[str, ...] = ("frechet",)  # applied in order, each one of TRANSFORM_OPS
+
+    def __post_init__(self) -> None:
+        for op in self.ops:
+            _check_choice("ops", op, TRANSFORM_OPS)
 
 
 def run_transform(cfg: TransformConfig) -> None:
@@ -597,11 +613,9 @@ def run_transform(cfg: TransformConfig) -> None:
             x = -x
         elif op == "negative-part":
             x = negative_part(x)
-        elif op == "frechet":
+        else:  # frechet
             x = empirical_frechet_transform(x)
-        else:
-            raise ValidationError(f"unknown transform op {op!r}")
-    out = Path(cfg.out_path)
+    out = Path(cfg.out)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
     fileio.write_sample_csv(x, out, columns)

@@ -100,7 +100,7 @@ def test_criterion_3_exact_mode_ordering_defaults():
 
 def test_criterion_4_reordering_study_reference_bands(tmp_path):
     start = time.perf_counter()
-    result = run_study(StudyConfig(out_dir=str(tmp_path / "study"), seed=0))
+    result = run_study(StudyConfig(out=str(tmp_path / "study"), seed=0))
     elapsed = time.perf_counter() - start
     by_size = {row.size: row for row in result.rows}
     details = []

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 
 from maxlinear import simulate, ten_node_model
-from maxlinear.cli import main
+from maxlinear.cli import COMMANDS, build_parser, main
 from maxlinear.fileio import read_sample_csv, write_sample_csv
 
 
@@ -74,6 +77,17 @@ def test_learn_scalings_choice_is_recorded(tmp_path, sim_dir):
     # each estimator keeps its own initial pass
     assert reports["mle"]["order"]["passes"][0]["kind"] == "initial"
     assert reports["spectral"]["order"]["passes"][0]["kind"] == "initial-pairwise"
+
+
+def test_learn_from_model_writes_only_true_edges(tmp_path, sim_dir):
+    out = tmp_path / "learn"
+    assert main(["learn", "--out", str(out), "--model", str(sim_dir / "model.json")]) == 0
+    coef = np.asarray(json.loads((sim_dir / "model.json").read_text())["coefficients"])
+    want = {(j + 1, i + 1) for i, j in zip(*np.nonzero(coef)) if i != j}
+    dot = (out / "model.dot").read_text()
+    got = {tuple(int(n) for n in re.findall(r"n(\d+)", line)) for line in dot.splitlines() if "->" in line}
+    assert len(want) == 25
+    assert got == want
 
 
 def test_learn_from_model_exact_mode(tmp_path, sim_dir):
@@ -158,8 +172,9 @@ def test_transform_and_extremes_round_trip(tmp_path, sim_dir):
 # exit code 2: validation errors
 
 
-def test_missing_out_is_validation_error(tmp_path):
+def test_missing_out_is_validation_error(tmp_path, capsys):
     assert main(["simulate", "--n", "10"]) == 2
+    assert "missing required option: out" in capsys.readouterr().err
 
 
 def test_learn_with_both_sources_is_validation_error(tmp_path, sim_dir):
@@ -250,9 +265,81 @@ def test_extremes_model_must_be_finite_and_non_negative(tmp_path, small_sample_c
     assert all(r[2] == "simulated" and float(r[3]) == float(r[4]) for r in rows)
 
 
-def test_argparse_rejects_unknown_choice(tmp_path):
-    with pytest.raises(SystemExit):
-        main(["study", "--out", str(tmp_path / "s"), "--weights", "bogus"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["learn", "--data", "{data}", "--scalings", "bogus"], id="learn-scalings"),
+        pytest.param(["learn", "--data", "{data}", "--transform", "bogus"], id="learn-transform"),
+        pytest.param(
+            ["learn", "--model", "{model}", "--transform", "bogus"], id="learn-model-transform"
+        ),
+        pytest.param(["study", "--weights", "bogus"], id="study-weights"),
+        pytest.param(["study", "--mode", "bogus"], id="study-mode"),
+        pytest.param(["extremes", "--data", "{data}", "--source", "bogus"], id="extremes-source"),
+        pytest.param(["transform", "--data", "{data}", "--ops", "negate,bogus"], id="transform-ops"),
+    ],
+)
+def test_argparse_rejects_unknown_choice(tmp_path, small_sample_csv, argv, capsys):
+    model = tmp_path / "model.csv"
+    np.savetxt(model, ten_node_model(), delimiter=",")
+    out = tmp_path / "out"
+    argv = [a.format(data=small_sample_csv, model=model) for a in argv]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert f"{argv[-2].lstrip('-')} must be one of" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_flags_are_the_config_fields(command):
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = [a for a in sub.choices[command]._actions if "--help" not in a.option_strings]
+    flags = {opt for a in actions for opt in a.option_strings}
+    cls = COMMANDS[command][0]
+    assert flags == {"--config"} | {f"--{f.name}" for f in dataclasses.fields(cls)}
+    assert all(a.help for a in actions)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+
+
+def _config_file(tmp_path, payload):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    return str(cfg)
+
+
+def test_unknown_config_key_is_validation_error(tmp_path, capsys):
+    cfg = _config_file(tmp_path, {"n": 10, "sede": 5})
+    assert main(["simulate", "--out", str(tmp_path / "s"), "--config", cfg]) == 2
+    assert "sede" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+def test_config_switch_takes_only_json_booleans(tmp_path, sim_dir):
+    argv = ["learn", "--out", str(tmp_path / "x"), "--model", str(sim_dir / "model.json")]
+    cfg = _config_file(tmp_path, {"diagnostics": "false"})
+    assert main([*argv, "--config", cfg]) == 2
+    cfg = _config_file(tmp_path, {"diagnostics": False})
+    assert main([*argv, "--config", cfg]) == 0
+    assert "degenerate_recovery_directions" not in (tmp_path / "x" / "report.json").read_text()
+
+
+def test_config_choice_is_checked_in_model_mode(tmp_path, sim_dir):
+    cfg = _config_file(tmp_path, {"transform": "bogus"})
+    argv = ["learn", "--out", str(tmp_path / "x"), "--model", str(sim_dir / "model.json")]
+    assert main([*argv, "--config", cfg]) == 2
+
+
+def test_sizes_json_list_and_comma_string_agree(tmp_path):
+    argv = ["study", "--runs", "2", "--mode", "exact-scalings", "--detail"]
+    for name, sizes in (("list", [2000, 3000]), ("string", "2000,3000")):
+        cfg = _config_file(tmp_path, {"sizes": sizes})
+        assert main([*argv, "--out", str(tmp_path / name), "--config", cfg]) == 0
+    assert main([*argv, "--out", str(tmp_path / "flag"), "--sizes", "2000,3000"]) == 0
+    for name in ("study.csv", "study.json", "study_runs.csv"):
+        want = (tmp_path / "list" / name).read_bytes()
+        assert (tmp_path / "string" / name).read_bytes() == want
+        assert (tmp_path / "flag" / name).read_bytes() == want
 
 
 # ---------------------------------------------------------------------------

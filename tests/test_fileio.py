@@ -155,17 +155,41 @@ def test_sample_csv_custom_names(tmp_path):
         write_sample_csv(x, p, columns=["only-one"])
 
 
+@pytest.mark.filterwarnings("error")  # a header-only file must not warn either
 def test_sample_csv_failures(tmp_path):
     p = tmp_path / "x.csv"
     p.write_text("")
     with pytest.raises(FileFormatError):
         read_sample_csv(p)
     p.write_text("a,b\n")
-    with pytest.raises(FileFormatError):
+    with pytest.raises(FileFormatError, match="no data rows"):
         read_sample_csv(p)
     p.write_text("a,b\n1.0,oops\n")
     with pytest.raises(FileFormatError):
         read_sample_csv(p)
+    p.write_text("a,b\n1.0,2.0\n3.0\n")
+    with pytest.raises(FileFormatError):
+        read_sample_csv(p)
+    p.write_text("a,b\n1.0,2.0,3.0\n")
+    with pytest.raises(FileFormatError):
+        read_sample_csv(p)
+
+
+def test_sample_and_matrix_csv_layout(tmp_path):
+    x = np.array([[0.1, -2.0], [1e-300, 3.0]])
+    p = tmp_path / "x.csv"
+    write_sample_csv(x, p, columns=["a,b", 'say "c"'])
+    want = '"a,b","say ""c"""\r\n0.10000000000000001,-2\r\n1e-300,3\r\n'
+    assert p.read_bytes() == want.encode()
+    got, names = read_sample_csv(p)
+    assert names == ["a,b", 'say "c"']
+    np.testing.assert_array_equal(got, x)
+    # quoted values and blank lines are read as well
+    p.write_text('a,b\n"1.5",2\n\n3,4\n')
+    np.testing.assert_array_equal(read_sample_csv(p)[0], [[1.5, 2.0], [3.0, 4.0]])
+    m = tmp_path / "m.csv"
+    write_matrix_csv(x, m)
+    assert m.read_bytes() == want.encode().split(b"\r\n", 1)[1]
 
 
 # ---------------------------------------------------------------------------

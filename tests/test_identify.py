@@ -197,6 +197,14 @@ def test_coefficients_from_squares_reports_nonpositive_diagonal():
     assert rec.matrix[0, 0] == 0.0
 
 
+def test_coefficients_from_squares_reads_rounding_residue_as_zero():
+    # 4.4e-16 is the residue the ten-node model leaves in an absent entry
+    a2 = np.array([0.5, 4.4e-16, 1e-10, 1.0, 0.25, 1.0])
+    rec = coefficients_from_squares(a2, 3)
+    assert rec.matrix[0, 1] == 0.0
+    assert rec.matrix[0, 2] == pytest.approx(1e-5)
+
+
 def test_coefficients_from_squares_validates_length():
     with pytest.raises(ValidationError):
         coefficients_from_squares(np.ones(4), 2)

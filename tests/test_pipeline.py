@@ -56,18 +56,18 @@ def _complete_dag_model(d: int, seed: int) -> np.ndarray:
 
 def test_simulate_weight_policies(tmp_path):
     unit = run_simulate(
-        SimulateConfig(out_dir=str(tmp_path / "unit"), weights="unit", n=10)
+        SimulateConfig(out=str(tmp_path / "unit"), weights="unit", n=10)
     )
     coef = np.asarray(unit["coefficients"])
     # unit weights: every ancestry path has product 1, rows renormalized
     raw = np.sign(coef)
     assert raw[0, 9] == 1.0 and raw[9, 0] == 0.0
     paper = run_simulate(
-        SimulateConfig(out_dir=str(tmp_path / "p"), weights="paper", n=10, seed=3)
+        SimulateConfig(out=str(tmp_path / "p"), weights="paper", n=10, seed=3)
     )
     assert paper["weight_policy"] == "paper"
     again = run_simulate(
-        SimulateConfig(out_dir=str(tmp_path / "p2"), weights="paper", n=10, seed=3)
+        SimulateConfig(out=str(tmp_path / "p2"), weights="paper", n=10, seed=3)
     )
     assert paper["coefficients"] == again["coefficients"]
 
@@ -81,7 +81,7 @@ def test_simulate_custom_dag_and_weight_file(tmp_path):
     write_matrix_csv(w, w_path)
     meta = run_simulate(
         SimulateConfig(
-            out_dir=str(tmp_path / "out"),
+            out=str(tmp_path / "out"),
             dag=str(dag_path),
             weights=str(w_path),
             n=25,
@@ -102,16 +102,16 @@ def test_simulate_preset_weights_require_preset_dag(tmp_path):
     dag_path.write_text("nodes: 2\n2 -> 1\n")
     with pytest.raises(ValidationError):
         run_simulate(
-            SimulateConfig(out_dir=str(tmp_path / "o"), dag=str(dag_path), n=5)
+            SimulateConfig(out=str(tmp_path / "o"), dag=str(dag_path), n=5)
         )
 
 
 def test_simulate_worker_count_does_not_change_sample(tmp_path):
     one = run_simulate(
-        SimulateConfig(out_dir=str(tmp_path / "w1"), n=400, seed=5, workers=1)
+        SimulateConfig(out=str(tmp_path / "w1"), n=400, seed=5, workers=1)
     )
     four = run_simulate(
-        SimulateConfig(out_dir=str(tmp_path / "w4"), n=400, seed=5, workers=4)
+        SimulateConfig(out=str(tmp_path / "w4"), n=400, seed=5, workers=4)
     )
     assert one["coefficients"] == four["coefficients"]
     a = (tmp_path / "w1" / "sample.csv").read_bytes()
@@ -134,7 +134,7 @@ def test_learn_exact_recovers_full_support_models(tmp_path, d):
     write_matrix_csv(coef, m_path)
     report = run_learn(
         LearnConfig(
-            out_dir=str(tmp_path / "out"),
+            out=str(tmp_path / "out"),
             model=str(m_path),
             eps1=1e-9,
             eps2=1e-9,
@@ -155,7 +155,7 @@ def test_learn_exact_recovers_ten_node_preset(tmp_path):
     m_path = tmp_path / "m.csv"
     write_matrix_csv(coef, m_path)
     report = run_learn(
-        LearnConfig(out_dir=str(tmp_path / "out"), model=str(m_path), diagnostics=True)
+        LearnConfig(out=str(tmp_path / "out"), model=str(m_path), diagnostics=True)
     )
     got = np.asarray(report["coefficients_original_frame"])
     # structural zeros reappear as sqrt of clipped fp noise; fine at 1e-6
@@ -178,7 +178,7 @@ def test_learn_diagnostics_with_clipped_diagonal(tmp_path):
     write_sample_csv(x, data, [f"x{i}" for i in range(1, d + 1)])
     report = run_learn(
         LearnConfig(
-            out_dir=str(tmp_path / "out"),
+            out=str(tmp_path / "out"),
             data=str(data),
             scalings="spectral",
             diagnostics=True,
@@ -197,7 +197,7 @@ def test_learn_prune_zeroes_small_entries(tmp_path):
     m_path = tmp_path / "m.csv"
     write_matrix_csv(coef, m_path)
     report = run_learn(
-        LearnConfig(out_dir=str(tmp_path / "out"), model=str(m_path), prune=1e-4)
+        LearnConfig(out=str(tmp_path / "out"), model=str(m_path), prune=1e-4)
     )
     got = np.asarray(report["coefficients_original_frame"])
     np.testing.assert_allclose(got, coef, atol=1e-12)
@@ -210,7 +210,7 @@ def test_learn_report_is_byte_reproducible(tmp_path):
     write_matrix_csv(coef, m_path)
     outs = []
     for name in ("a", "b"):
-        run_learn(LearnConfig(out_dir=str(tmp_path / name), model=str(m_path)))
+        run_learn(LearnConfig(out=str(tmp_path / name), model=str(m_path)))
         outs.append((tmp_path / name / "report.json").read_bytes())
     assert outs[0] == outs[1]
 
@@ -219,7 +219,7 @@ def test_learn_dot_uses_learned_edges(tmp_path):
     coef = _complete_dag_model(3, seed=2)
     m_path = tmp_path / "m.csv"
     write_matrix_csv(coef, m_path)
-    run_learn(LearnConfig(out_dir=str(tmp_path / "out"), model=str(m_path)))
+    run_learn(LearnConfig(out=str(tmp_path / "out"), model=str(m_path)))
     dot = (tmp_path / "out" / "model.dot").read_text()
     for i in range(3):
         for j in range(3):
@@ -260,14 +260,14 @@ def test_shared_polar_scaling_vector_matches_direct_estimates(two_node_model):
 def test_study_rejects_unknown_weight_policy(tmp_path):
     with pytest.raises(ValidationError):
         run_study(
-            StudyConfig(out_dir=str(tmp_path / "s"), sizes=(100,), runs=1, weights="x")
+            StudyConfig(out=str(tmp_path / "s"), sizes=(100,), runs=1, weights="x")
         )
 
 
 def test_study_exact_mode_preset_is_always_correct(tmp_path):
     res = run_study(
         StudyConfig(
-            out_dir=str(tmp_path / "s"),
+            out=str(tmp_path / "s"),
             sizes=(500,),
             runs=4,
             mode="exact-scalings",
@@ -287,7 +287,7 @@ def test_study_paper_policy_redraws_weights(tmp_path):
     # bands, so unlike the preset policy the outcome is not all-correct
     res = run_study(
         StudyConfig(
-            out_dir=str(tmp_path / "s"),
+            out=str(tmp_path / "s"),
             sizes=(500,),
             runs=30,
             seed=1,
@@ -304,8 +304,8 @@ def test_study_paper_policy_redraws_weights(tmp_path):
 
 def test_study_workers_do_not_change_counts(tmp_path):
     kw = dict(sizes=(400,), runs=6, seed=2, mode="exact-scalings", weights="paper")
-    one = run_study(StudyConfig(out_dir=str(tmp_path / "w1"), workers=1, **kw))
-    four = run_study(StudyConfig(out_dir=str(tmp_path / "w4"), workers=4, **kw))
+    one = run_study(StudyConfig(out=str(tmp_path / "w1"), workers=1, **kw))
+    four = run_study(StudyConfig(out=str(tmp_path / "w4"), workers=4, **kw))
     assert one.rows == four.rows
     a = (tmp_path / "w1" / "study.csv").read_bytes()
     b = (tmp_path / "w4" / "study.csv").read_bytes()
@@ -331,7 +331,7 @@ def test_extremes_all_pairs_row_count(tmp_path, small_sample):
     data, _, _ = small_sample
     out = tmp_path / "e.csv"
     written = run_extremes(
-        ExtremesConfig(out_path=str(out), data=str(data), pairs="all", count=3)
+        ExtremesConfig(out=str(out), data=str(data), pairs="all", count=3)
     )
     n_pairs = 10 * 9 // 2
     assert written == 3 * n_pairs
@@ -343,7 +343,7 @@ def test_extremes_count_clamped_to_sample_size(tmp_path, small_sample):
     data, _, x = small_sample
     out = tmp_path / "e.csv"
     written = run_extremes(
-        ExtremesConfig(out_path=str(out), data=str(data), pairs="1-2", count=10_000)
+        ExtremesConfig(out=str(out), data=str(data), pairs="1-2", count=10_000)
     )
     assert written == x.shape[0]
 
@@ -351,7 +351,7 @@ def test_extremes_count_clamped_to_sample_size(tmp_path, small_sample):
 def test_extremes_rows_are_radius_sorted(tmp_path, small_sample):
     data, _, x = small_sample
     out = tmp_path / "e.csv"
-    run_extremes(ExtremesConfig(out_path=str(out), data=str(data), pairs="2-5", count=4))
+    run_extremes(ExtremesConfig(out=str(out), data=str(data), pairs="2-5", count=4))
     rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
     got = np.asarray([[float(r[3]), float(r[4])] for r in rows])
     r2 = np.square(x[:, 1]) + np.square(x[:, 4])
@@ -364,13 +364,13 @@ def test_extremes_simulated_source_needs_model(tmp_path, small_sample):
     with pytest.raises(ValidationError):
         run_extremes(
             ExtremesConfig(
-                out_path=str(tmp_path / "e.csv"), data=str(data), source="simulated"
+                out=str(tmp_path / "e.csv"), data=str(data), source="simulated"
             )
         )
     out = tmp_path / "e.csv"
     written = run_extremes(
         ExtremesConfig(
-            out_path=str(out),
+            out=str(out),
             data=str(data),
             pairs="1-2",
             count=2,
@@ -389,7 +389,7 @@ def test_extremes_bad_pairs(tmp_path, small_sample):
     for spec in ("1-99", "3-3", "nope", ""):
         with pytest.raises(ValidationError):
             run_extremes(
-                ExtremesConfig(out_path=str(tmp_path / "e.csv"), data=str(data), pairs=spec)
+                ExtremesConfig(out=str(tmp_path / "e.csv"), data=str(data), pairs=spec)
             )
 
 
@@ -404,7 +404,7 @@ def test_transform_ops_compose_in_order(tmp_path):
     write_sample_csv(x, src, columns=["u", "v"])
     out = tmp_path / "out.csv"
     run_transform(
-        TransformConfig(data=str(src), out_path=str(out), ops=("negate", "negative-part"))
+        TransformConfig(data=str(src), out=str(out), ops=("negate", "negative-part"))
     )
     got, names = read_sample_csv(out)
     assert names == ["u", "v"]
@@ -417,7 +417,7 @@ def test_transform_frechet_gives_positive_unit_scale_margins(tmp_path):
     src = tmp_path / "in.csv"
     write_sample_csv(x, src)
     out = tmp_path / "out.csv"
-    run_transform(TransformConfig(data=str(src), out_path=str(out), ops=("frechet",)))
+    run_transform(TransformConfig(data=str(src), out=str(out), ops=("frechet",)))
     got, _ = read_sample_csv(out)
     assert np.all(got > 0)
     from maxlinear import frechet_mle_scaling
@@ -430,5 +430,5 @@ def test_transform_unknown_op(tmp_path):
     write_sample_csv(np.ones((3, 1)), src)
     with pytest.raises(ValidationError):
         run_transform(
-            TransformConfig(data=str(src), out_path=str(tmp_path / "o.csv"), ops=("zap",))
+            TransformConfig(data=str(src), out=str(tmp_path / "o.csv"), ops=("zap",))
         )

@@ -7,9 +7,11 @@ the ``run_*`` function that takes it (``COMMANDS``).  Every field of the
 config is one ``--<field>`` flag and one key of the optional JSON config
 file (``--config``); the default lives only on the field, and explicit
 flags win over config-file values.  Values are read by the field's type:
-a ``bool`` field is a switch on the command line and JSON ``true`` or
-``false`` in a config file, and a tuple field takes a JSON list or a
-comma-separated string.  The configs check their own choice fields.
+a ``bool`` field is a switch on the command line (``--<field>`` or
+``--no-<field>``) and JSON ``true`` or ``false`` in a config file, which
+no other field takes; an ``int`` field takes an integral number, and a
+tuple field takes a JSON list or a comma-separated string.  The configs
+check their own choice fields.
 
 Exit codes: 0 success; 2 validation/config error (including an unknown
 config key or a missing required option); 3 a threshold could not be met
@@ -105,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
             default = "required" if f.default is MISSING else f"default: {f.default}"
             kw: dict[str, Any] = {"help": f"{HELP[f.name]} ({default})"}
             if hints[f.name] is bool:
-                kw.update(action="store_true", default=None)
+                kw.update(action=argparse.BooleanOptionalAction, default=None)
             p.add_argument(f"--{f.name}", **kw)
     return parser
 
@@ -138,6 +140,10 @@ def _coerce(name: str, hint: Any, value: Any) -> Any:
         if not isinstance(value, list):
             value = [tok.strip() for tok in str(value).split(",") if tok.strip()]
         return tuple(_coerce(name, get_args(hint)[0], v) for v in value)
+    if isinstance(value, bool) or (
+        hint is int and isinstance(value, float) and not value.is_integer()
+    ):
+        raise ValidationError(f"option {name}: cannot read {value!r} as {hint.__name__}")
     try:
         return hint(value)
     except (TypeError, ValueError) as exc:

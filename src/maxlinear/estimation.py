@@ -198,9 +198,9 @@ def estimate_rescaled_max_scaling(
         raise ValidationError(f"node {m} already in ordered set {hs}")
     if not factor > 1.0:
         raise ValidationError(f"scaling factor must exceed 1, got {factor}")
-    y = a.copy()
-    y[:, [c - 1 for c in (*hs, m)]] *= factor
-    acc, _, n_pos = _kernels.scaling_sum(y, k)
+    w = np.ones(d)
+    w[[c - 1 for c in (*hs, m)]] = factor
+    acc, _, n_pos = _kernels.scaling_sum(a * w, k)
     if n_pos < k:
         raise ThresholdError(
             f"only {n_pos} rows with positive radius on rescaled columns, need k={k}"

@@ -27,7 +27,12 @@ and two step policies:
 Scalings are supplied by a provider object so the loop runs
 identically on exact model scalings (``ExactScalings``) and on data
 estimates (``SpectralScalings`` for the angular estimators,
-``FrechetMleScalings`` for the parametric ones).
+``FrechetMleScalings`` for the parametric ones).  Each pass makes one
+provider call, ``pass_scalings(ordered, factor)``, which returns for
+every unordered candidate m the scaling of head ∪ {m} and the scaling
+of the maximum with that group inflated.  ``FrechetMleScalings``
+answers it in one sweep over the sample, O(n) per candidate; the other
+two ask their per-subset methods.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from .errors import (
     ThresholdError,
     ValidationError,
 )
-from .estimation import estimate_max_scaling, estimate_rescaled_max_scaling
+from .estimation import _as_sample, estimate_max_scaling, estimate_rescaled_max_scaling
 from .model import as_coefficient_matrix, max_scaling, rescaled_max_scaling
 
 MODES = ("exact-scalings", "estimated")
@@ -87,7 +92,12 @@ class ReorderConfig:
 
 
 class ScalingProvider(Protocol):
-    """Source of squared scalings over node subsets, exact or estimated."""
+    """Source of squared scalings over node subsets, exact or estimated.
+
+    ``pass_scalings(ordered, factor)`` maps every node m outside
+    ``ordered`` to ``(max_scaling((*ordered, m)),
+    rescaled_scaling(ordered, m, factor))``.
+    """
 
     @property
     def node_count(self) -> int: ...
@@ -97,6 +107,22 @@ class ScalingProvider(Protocol):
     def rescaled_scaling(
         self, ordered: Sequence[int], node: int, factor: float
     ) -> float: ...
+
+    def pass_scalings(
+        self, ordered: Sequence[int], factor: float
+    ) -> dict[int, tuple[float, float]]: ...
+
+
+def _pass_from_subsets(
+    provider: ScalingProvider, ordered: Sequence[int], factor: float
+) -> dict[int, tuple[float, float]]:
+    """``pass_scalings`` through the provider's per-subset methods."""
+    hs = tuple(ordered)
+    return {
+        m: (provider.max_scaling((*hs, m)), provider.rescaled_scaling(hs, m, factor))
+        for m in _all_nodes(provider.node_count)
+        if m not in hs
+    }
 
 
 class ExactScalings:
@@ -114,6 +140,11 @@ class ExactScalings:
 
     def rescaled_scaling(self, ordered: Sequence[int], node: int, factor: float) -> float:
         return rescaled_max_scaling(self._coef, ordered, node, factor)
+
+    def pass_scalings(
+        self, ordered: Sequence[int], factor: float
+    ) -> dict[int, tuple[float, float]]:
+        return _pass_from_subsets(self, ordered, factor)
 
 
 class SpectralScalings:
@@ -154,6 +185,11 @@ class SpectralScalings:
             )
         return self._resc_cache[key]
 
+    def pass_scalings(
+        self, ordered: Sequence[int], factor: float
+    ) -> dict[int, tuple[float, float]]:
+        return _pass_from_subsets(self, ordered, factor)
+
 
 class FrechetMleScalings:
     """Parametric scaling estimates: componentwise maxima are treated as
@@ -161,25 +197,33 @@ class FrechetMleScalings:
 
     Used by the simulation-study harness and by default in ``learn`` on
     data; unlike the angular estimates these use every observation, not
-    only the radial exceedances.
+    only the radial exceedances.  The sample must be finite.  It is held
+    column by column, so that ``pass_scalings`` can fit all candidates of
+    a pass in one sweep (``_kernels.rowmax_pass_invsq_means``); its
+    results are cached under the same keys as the per-subset methods,
+    which then answer the scaling vector's nested subsets from the cache.
+
+    Raises:
+        ValidationError: the sample is not a non-empty, finite 2-D matrix.
     """
 
     def __init__(self, x: np.ndarray) -> None:
-        self._x = np.ascontiguousarray(x, dtype=np.float64)
-        if self._x.ndim != 2:
-            raise ValidationError("sample must be a 2-D matrix")
+        self._cols = np.ascontiguousarray(_as_sample(x).T)
         self._max_cache: dict[frozenset[int], float] = {}
         self._resc_cache: dict[tuple[frozenset[int], int, float], float] = {}
 
     @property
     def node_count(self) -> int:
-        return self._x.shape[1]
+        return self._cols.shape[0]
 
-    def _mle(self, weights: np.ndarray) -> float:
-        mean = _kernels.scaled_rowmax_invsq_mean(self._x, weights)
+    @staticmethod
+    def _fit(mean: float) -> float:
         if not np.isfinite(mean):
             raise ThresholdError("row maxima must be strictly positive for the MLE")
         return float(1.0 / mean)
+
+    def _mle(self, weights: np.ndarray) -> float:
+        return self._fit(_kernels.scaled_rowmax_invsq_mean(self._cols.T, weights))
 
     def max_scaling(self, nodes: Sequence[int]) -> float:
         key = frozenset(int(v) for v in nodes)
@@ -197,6 +241,21 @@ class FrechetMleScalings:
             self._resc_cache[key] = self._mle(w)
         return self._resc_cache[key]
 
+    def pass_scalings(
+        self, ordered: Sequence[int], factor: float
+    ) -> dict[int, tuple[float, float]]:
+        factor = float(factor)
+        if not factor > 1.0:
+            raise ValidationError(f"scaling factor must exceed 1, got {factor}")
+        hs = frozenset(int(v) for v in ordered)
+        means = _kernels.rowmax_pass_invsq_means(self._cols, sorted(v - 1 for v in hs), factor)
+        out: dict[int, tuple[float, float]] = {}
+        for j, (group, rescaled) in means.items():
+            m = j + 1
+            out[m] = (self._fit(group), self._fit(rescaled))
+            self._max_cache[hs | {m}], self._resc_cache[(hs, m, factor)] = out[m]
+        return out
+
 
 # ---------------------------------------------------------------------------
 # delta computations
@@ -207,32 +266,24 @@ def _all_nodes(d: int) -> tuple[int, ...]:
 
 
 def _initial_deltas(provider: ScalingProvider, cfg: ReorderConfig) -> dict[int, float]:
-    d = provider.node_count
-    base = provider.max_scaling(_all_nodes(d))
+    # a standardized model has unit singleton scalings, so the offset
+    # stands in for the group scaling
+    base = provider.max_scaling(_all_nodes(provider.node_count))
     offset = cfg.a**2 - 1.0
     return {
-        m: provider.rescaled_scaling((), m, cfg.a) - base - offset
-        for m in _all_nodes(d)
+        m: rescaled - base - offset
+        for m, (_, rescaled) in provider.pass_scalings((), cfg.a).items()
     }
 
 
 def _generation_deltas(
     provider: ScalingProvider, ordered: Sequence[int], cfg: ReorderConfig
 ) -> dict[int, float]:
-    d = provider.node_count
-    hs = tuple(ordered)
-    base = provider.max_scaling(_all_nodes(d))
-    out: dict[int, float] = {}
-    for m in _all_nodes(d):
-        if m in hs:
-            continue
-        group = provider.max_scaling((*hs, m))
-        out[m] = (
-            provider.rescaled_scaling(hs, m, cfg.a)
-            - base
-            - (cfg.a**2 - 1.0) * group
-        )
-    return out
+    base = provider.max_scaling(_all_nodes(provider.node_count))
+    return {
+        m: rescaled - base - (cfg.a**2 - 1.0) * group
+        for m, (group, rescaled) in provider.pass_scalings(ordered, cfg.a).items()
+    }
 
 
 def _pairwise_delta_bounds(

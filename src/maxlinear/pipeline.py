@@ -14,7 +14,11 @@ maximum-likelihood estimator (``FrechetMleScalings``):
 * ``run_learn`` on data applies it after an empirical-rank transform to
   standard margins, orders nodes with the threshold initial pass plus
   the argmax discovery loop, and reads the scaling vector off the same
-  provider.  ``scalings="spectral"`` selects the paper's angular
+  provider.  Each ordering pass is one provider call that fits every
+  candidate's subsets at once and caches them; the scaling vector's
+  nested subsets are among them whenever the initial pass accepts a
+  single node, so it reads them back without another pass over the
+  sample.  ``scalings="spectral"`` selects the paper's angular
   (radial-threshold) estimators instead: the pairwise initial-node
   screen, argmax steps at threshold count ``k``, and one shared polar
   decomposition for the scaling vector.

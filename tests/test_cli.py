@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import json
 import re
+import typing
 
 import numpy as np
 import pytest
@@ -265,6 +266,19 @@ def test_extremes_model_must_be_finite_and_non_negative(tmp_path, small_sample_c
     assert all(r[2] == "simulated" and float(r[3]) == float(r[4]) for r in rows)
 
 
+@pytest.mark.parametrize("scalings", ["mle", "spectral"])
+def test_non_finite_sample_is_validation_error(tmp_path, scalings, capsys):
+    x = simulate(ten_node_model(), 0, 200)
+    x[17, 3] = np.inf
+    data = tmp_path / "inf.csv"
+    write_sample_csv(x, data)
+    out = tmp_path / "x"
+    argv = ["learn", "--out", str(out), "--data", str(data), "--transform", "none"]
+    assert main([*argv, "--scalings", scalings]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -295,7 +309,10 @@ def test_flags_are_the_config_fields(command):
     actions = [a for a in sub.choices[command]._actions if "--help" not in a.option_strings]
     flags = {opt for a in actions for opt in a.option_strings}
     cls = COMMANDS[command][0]
-    assert flags == {"--config"} | {f"--{f.name}" for f in dataclasses.fields(cls)}
+    fields = dataclasses.fields(cls)
+    hints = typing.get_type_hints(cls)
+    switches = {f"--no-{f.name}" for f in fields if hints[f.name] is bool}
+    assert flags == {"--config"} | {f"--{f.name}" for f in fields} | switches
     assert all(a.help for a in actions)
     with pytest.raises(SystemExit) as exc:
         main([command, "--help"])
@@ -322,6 +339,29 @@ def test_config_switch_takes_only_json_booleans(tmp_path, sim_dir):
     cfg = _config_file(tmp_path, {"diagnostics": False})
     assert main([*argv, "--config", cfg]) == 0
     assert "degenerate_recovery_directions" not in (tmp_path / "x" / "report.json").read_text()
+
+
+def test_no_switch_flag_overrides_config_true(tmp_path, sim_dir):
+    out = tmp_path / "x"
+    argv = ["learn", "--out", str(out), "--model", str(sim_dir / "model.json")]
+    cfg = _config_file(tmp_path, {"diagnostics": True})
+    assert main([*argv, "--config", cfg]) == 0
+    assert "degenerate_recovery_directions" in json.loads((out / "report.json").read_text())
+    assert main([*argv, "--config", cfg, "--no-diagnostics"]) == 0
+    assert "degenerate_recovery_directions" not in json.loads((out / "report.json").read_text())
+
+
+@pytest.mark.parametrize("bad", [20.9, True, "20.9"], ids=["float", "bool", "string"])
+def test_int_option_takes_only_integral_numbers(tmp_path, bad, capsys):
+    out = tmp_path / "s"
+    cfg = _config_file(tmp_path, {"n": bad})
+    assert main(["simulate", "--out", str(out), "--config", cfg]) == 2
+    assert "option n: cannot read" in capsys.readouterr().err
+    assert not out.exists()
+    # an integral JSON number is read as the integer it names
+    cfg = _config_file(tmp_path, {"n": 20.0})
+    assert main(["simulate", "--out", str(out), "--config", cfg]) == 0
+    assert read_sample_csv(out / "sample.csv")[0].shape == (20, 10)
 
 
 def test_config_choice_is_checked_in_model_mode(tmp_path, sim_dir):

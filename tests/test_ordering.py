@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from maxlinear import (
     DagStructure,
@@ -32,6 +35,8 @@ from maxlinear import (
     ten_node_dag,
     ten_node_model,
 )
+from maxlinear import _kernels
+from maxlinear.pipeline import scaling_vector_from_provider
 from maxlinear.presets import TEN_NODE_GENERATIONS
 
 # a float-noise-only band: exact-scaling deltas of eligible nodes carry
@@ -97,12 +102,67 @@ def test_frechet_mle_scalings_basics(two_node_model):
     # singleton scale equivariance through the provider
     scaled = FrechetMleScalings(np.column_stack([3.0 * x[:, 0], x[:, 1]]))
     assert scaled.max_scaling([1]) == pytest.approx(9.0 * prov.max_scaling([1]))
+    with pytest.raises(ValidationError, match="must exceed 1"):
+        prov.pass_scalings((), 1.0)
 
 
 def test_frechet_mle_scalings_zero_row_is_threshold_error():
     x = np.array([[1.0, 2.0], [0.0, 0.0], [3.0, 1.0]])
     with pytest.raises(ThresholdError):
         FrechetMleScalings(x).max_scaling([1, 2])
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_frechet_mle_scalings_reject_non_finite_sample(bad):
+    x = np.ones((4, 3))
+    x[2, 1] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        FrechetMleScalings(x)
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except ThresholdError:
+        return "ThresholdError"
+
+
+# few distinct values, so rows tie within themselves and against the
+# inflated maxima (1.01 * 1.0 == 1.01); some rows have no positive entry
+_ELEMENTS = {
+    "tied": st.sampled_from((-1.5, -0.0, 0.0, 0.25, 1.0, 1.01, 2.0)),
+    "positive": st.floats(0.05, 50.0),
+    "signed": st.floats(-5.0, 5.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ELEMENTS))
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    d=st.sampled_from([1, 2, 3, 10]),
+    n=st.integers(1, 30),
+    factor=st.sampled_from([1.01, math.sqrt(2.0), 3.0]),
+)
+def test_mle_pass_scalings_equal_per_subset_fits(kind, data, d, n, factor):
+    x = data.draw(hnp.arrays(np.float64, (n, d), elements=_ELEMENTS[kind]))
+    order = data.draw(st.permutations(range(1, d + 1)))
+    for head in {(), tuple(order[: d // 2]), tuple(order[: d - 1])}:
+        # a fresh provider per path: the pass fills the per-subset caches
+        per_subset = FrechetMleScalings(x)
+        with np.errstate(over="ignore"):  # m**-2 of a tiny maximum, on both paths
+            want = _outcome(
+                lambda: {
+                    m: (
+                        per_subset.max_scaling((*head, m)),
+                        per_subset.rescaled_scaling(head, m, factor),
+                    )
+                    for m in range(1, d + 1)
+                    if m not in head
+                }
+            )
+            got = _outcome(lambda: FrechetMleScalings(x).pass_scalings(head, factor))
+        assert got == want
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +363,23 @@ def test_learn_order_ten_node_data_frozen_seed(preset_model):
         assert lo <= 0.0 <= hi
 
 
-def test_learn_order_ten_node_mle_provider_frozen_seed(preset_model):
+def test_learn_order_ten_node_mle_provider_frozen_seed(preset_model, monkeypatch):
     xt = empirical_frechet_transform(simulate(preset_model, 0, 10_000))
-    res = learn_order(FrechetMleScalings(xt), ReorderConfig.data_preset())
+    fitted = []
+    per_subset = _kernels.scaled_rowmax_invsq_mean
+    monkeypatch.setattr(
+        _kernels,
+        "scaled_rowmax_invsq_mean",
+        lambda x, w: fitted.append(w.copy()) or per_subset(x, w),
+    )
+    prov = FrechetMleScalings(xt)
+    res = learn_order(prov, ReorderConfig.data_preset())
+    # with one initial node every nested subset {i} ∪ {j+1..d} of the
+    # scaling vector is the group of some pass, so after the passes only
+    # the all-node base has been fitted on its own
+    scaling_vector_from_provider(prov, res.column_order())
+    assert len(fitted) == 1
+    assert np.all(fitted[0] == 1.0)
     assert res.valid
     dag = ten_node_dag()
     pos = {lab: i for i, lab in enumerate(res.discovery)}

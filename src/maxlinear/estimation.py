@@ -14,6 +14,11 @@ Two estimator variants exist side by side:
   column by a factor ``a`` and decomposes the full vector, with the
   prefactor adjusted for the inflated total mass.
 
+Both reduce to one kernel over squared columns, ``_kernels.scaling_sum``.
+The public estimators validate and square their sample on every call;
+``ordering.SpectralScalings`` validates and squares it once and feeds
+the same kernel views of its cached columns, with bit-identical results.
+
 A parametric alternative, the Frechet(2) maximum-likelihood scaling of
 a sequence of maxima, backs the simulation-study harness.  Marginal
 standardization helpers (negative part, empirical rank transform to
@@ -145,25 +150,47 @@ def scaling_from_polar(polar: PolarSample, over: Sequence[int] | None = None) ->
     return float(len(polar.subset) / polar.threshold_count * w2.max(axis=1).sum())
 
 
+def _max_scaling_of_squares(
+    sq: Sequence[np.ndarray], subset: tuple[int, ...], k: int
+) -> float:
+    """Reduced-subset estimate from the squared columns of ``subset``."""
+    acc, _, n_pos = _kernels.scaling_sum(sq, k)
+    if n_pos < k:
+        raise ThresholdError(
+            f"only {n_pos} rows with positive radius on columns {subset}, need k={k}"
+        )
+    return len(subset) / k * acc
+
+
+def _rescaled_scaling_of_squares(
+    sq: Sequence[np.ndarray], n_inflated: int, factor: float, k: int
+) -> float:
+    """Rescaled estimate from all squared columns, ``n_inflated`` of them
+    taken after inflation by ``factor``."""
+    acc, _, n_pos = _kernels.scaling_sum(sq, k)
+    if n_pos < k:
+        raise ThresholdError(
+            f"only {n_pos} rows with positive radius on rescaled columns, need k={k}"
+        )
+    mass = (factor**2 - 1.0) * n_inflated + len(sq)
+    return mass / k * acc
+
+
 def estimate_max_scaling(x: np.ndarray, cols: Sequence[int], k: int) -> float:
     """Reduced-subset estimate of the squared scaling of ``max_{i in cols} X_i``.
 
     Equivalent to ``scaling_from_polar(polar_decompose(x, cols, k))``
-    but runs fused in one pass.  For a singleton subset the angle is
-    identically 1 and the estimate is exactly 1.
+    but runs fused in one pass over the squared columns.  For a
+    singleton subset the angle is identically 1 and the estimate is
+    exactly 1.
 
     Raises:
         ThresholdError: fewer than k rows with positive radius.
     """
     a = _as_sample(x)
     subset = _as_columns(cols, a.shape[1])
-    sub = a[:, [c - 1 for c in subset]]
-    acc, _, n_pos = _kernels.scaling_sum(sub, k)
-    if n_pos < k:
-        raise ThresholdError(
-            f"only {n_pos} rows with positive radius on columns {subset}, need k={k}"
-        )
-    return len(subset) / k * acc
+    sub = [a[:, c - 1] for c in subset]
+    return _max_scaling_of_squares([v * v for v in sub], subset, k)
 
 
 def estimate_rescaled_max_scaling(
@@ -198,15 +225,9 @@ def estimate_rescaled_max_scaling(
         raise ValidationError(f"node {m} already in ordered set {hs}")
     if not factor > 1.0:
         raise ValidationError(f"scaling factor must exceed 1, got {factor}")
-    w = np.ones(d)
-    w[[c - 1 for c in (*hs, m)]] = factor
-    acc, _, n_pos = _kernels.scaling_sum(a * w, k)
-    if n_pos < k:
-        raise ThresholdError(
-            f"only {n_pos} rows with positive radius on rescaled columns, need k={k}"
-        )
-    mass = (factor**2 - 1.0) * (len(hs) + 1) + d
-    return mass / k * acc
+    grown = {c - 1 for c in (*hs, m)}
+    cols = [factor * a[:, j] if j in grown else a[:, j] for j in range(d)]
+    return _rescaled_scaling_of_squares([v * v for v in cols], len(grown), factor, k)
 
 
 def frechet_mle_scaling(maxima: Sequence[float] | np.ndarray) -> float:

@@ -31,8 +31,11 @@ estimates (``SpectralScalings`` for the angular estimators,
 provider call, ``pass_scalings(ordered, factor)``, which returns for
 every unordered candidate m the scaling of head ∪ {m} and the scaling
 of the maximum with that group inflated.  ``FrechetMleScalings``
-answers it in one sweep over the sample, O(n) per candidate; the other
-two ask their per-subset methods.
+answers it in one sweep over the sample, O(n) per candidate;
+``SpectralScalings`` from squared columns it caches once, so each
+estimate of a pass, and of the pairwise screen, is one banded row sum
+(``_kernels.scaling_sum``); ``ExactScalings`` asks its per-subset
+methods.
 """
 
 from __future__ import annotations
@@ -50,7 +53,13 @@ from .errors import (
     ThresholdError,
     ValidationError,
 )
-from .estimation import _as_sample, estimate_max_scaling, estimate_rescaled_max_scaling
+from .estimation import (
+    _as_sample,
+    _max_scaling_of_squares,
+    _rescaled_scaling_of_squares,
+    estimate_max_scaling,
+    estimate_rescaled_max_scaling,
+)
 from .model import as_coefficient_matrix, max_scaling, rescaled_max_scaling
 
 MODES = ("exact-scalings", "estimated")
@@ -113,18 +122,6 @@ class ScalingProvider(Protocol):
     ) -> dict[int, tuple[float, float]]: ...
 
 
-def _pass_from_subsets(
-    provider: ScalingProvider, ordered: Sequence[int], factor: float
-) -> dict[int, tuple[float, float]]:
-    """``pass_scalings`` through the provider's per-subset methods."""
-    hs = tuple(ordered)
-    return {
-        m: (provider.max_scaling((*hs, m)), provider.rescaled_scaling(hs, m, factor))
-        for m in _all_nodes(provider.node_count)
-        if m not in hs
-    }
-
-
 class ExactScalings:
     """Theoretical scalings of a known (standardized) coefficient matrix."""
 
@@ -144,7 +141,12 @@ class ExactScalings:
     def pass_scalings(
         self, ordered: Sequence[int], factor: float
     ) -> dict[int, tuple[float, float]]:
-        return _pass_from_subsets(self, ordered, factor)
+        hs = tuple(ordered)
+        return {
+            m: (self.max_scaling((*hs, m)), self.rescaled_scaling(hs, m, factor))
+            for m in _all_nodes(self.node_count)
+            if m not in hs
+        }
 
 
 class SpectralScalings:
@@ -152,20 +154,36 @@ class SpectralScalings:
 
     Subset estimates are memoized; two queries of the same subset hit
     the same exceedance rows, which keeps the deltas of one pass on a
-    common footing.
+    common footing.  The sample is validated once and its squares are
+    held column by column, with the squares of the inflated columns for
+    each factor a pass has used.  ``pass_scalings`` and ``pair_scalings``
+    hand views of these columns to ``_kernels.scaling_sum`` and cache
+    their results under the keys of the per-subset methods, which keep
+    going through the public estimators ``estimate_max_scaling`` and
+    ``estimate_rescaled_max_scaling``; both paths give the same bits.
+
+    Raises:
+        ValidationError: the sample is not a non-empty, finite 2-D matrix.
+        ThresholdError: a column is all zero, so no estimate that
+            involves it carries tail information.
     """
 
     def __init__(self, x: np.ndarray, k: int) -> None:
-        self._x = np.asarray(x, dtype=np.float64)
-        if self._x.ndim != 2:
-            raise ValidationError("sample must be a 2-D matrix")
+        self._cols = np.ascontiguousarray(_as_sample(x).T)
+        zero = np.flatnonzero(~self._cols.any(axis=1))
+        if zero.size:
+            raise ThresholdError(
+                f"column {zero[0] + 1} is all zero and carries no tail information"
+            )
         self._k = int(k)
+        self._sq = self._cols * self._cols
+        self._inflated_sq: dict[float, np.ndarray] = {}
         self._max_cache: dict[frozenset[int], float] = {}
         self._resc_cache: dict[tuple[frozenset[int], int, float], float] = {}
 
     @property
     def node_count(self) -> int:
-        return self._x.shape[1]
+        return self._cols.shape[0]
 
     @property
     def threshold_count(self) -> int:
@@ -174,21 +192,64 @@ class SpectralScalings:
     def max_scaling(self, nodes: Sequence[int]) -> float:
         key = frozenset(int(v) for v in nodes)
         if key not in self._max_cache:
-            self._max_cache[key] = estimate_max_scaling(self._x, sorted(key), self._k)
+            self._max_cache[key] = estimate_max_scaling(self._cols.T, sorted(key), self._k)
         return self._max_cache[key]
 
     def rescaled_scaling(self, ordered: Sequence[int], node: int, factor: float) -> float:
         key = (frozenset(int(v) for v in ordered), int(node), float(factor))
         if key not in self._resc_cache:
             self._resc_cache[key] = estimate_rescaled_max_scaling(
-                self._x, sorted(key[0]), node, factor, self._k
+                self._cols.T, sorted(key[0]), node, factor, self._k
             )
         return self._resc_cache[key]
+
+    def _inflated(self, factor: float) -> np.ndarray:
+        if factor not in self._inflated_sq:
+            if not factor > 1.0:
+                raise ValidationError(f"scaling factor must exceed 1, got {factor}")
+            scaled = factor * self._cols
+            self._inflated_sq[factor] = scaled * scaled
+        return self._inflated_sq[factor]
+
+    def _group(self, key: frozenset[int]) -> float:
+        if key not in self._max_cache:
+            subset = tuple(sorted(key))
+            sq = [self._sq[v - 1] for v in subset]
+            self._max_cache[key] = _max_scaling_of_squares(sq, subset, self._k)
+        return self._max_cache[key]
 
     def pass_scalings(
         self, ordered: Sequence[int], factor: float
     ) -> dict[int, tuple[float, float]]:
-        return _pass_from_subsets(self, ordered, factor)
+        factor = float(factor)
+        inflated = self._inflated(factor)
+        d = self.node_count
+        # the all-node scaling first: every delta subtracts it, so the
+        # loop reads it back from the cache
+        self._group(frozenset(_all_nodes(d)))
+        hs = frozenset(int(v) for v in ordered)
+        out: dict[int, tuple[float, float]] = {}
+        for m in _all_nodes(d):
+            if m in hs:
+                continue
+            grown = hs | {m}
+            group = self._group(grown)
+            key = (hs, m, factor)
+            if key not in self._resc_cache:
+                sq = [inflated[j] if j + 1 in grown else self._sq[j] for j in range(d)]
+                self._resc_cache[key] = _rescaled_scaling_of_squares(
+                    sq, len(grown), factor, self._k
+                )
+            out[m] = (group, self._resc_cache[key])
+        return out
+
+    def pair_scalings(self, i: int, m: int, factor: float) -> tuple[float, float]:
+        """Scalings of ``max(X_i, X_m)`` and of ``max(X_i, factor X_m)``,
+        each estimated on the two columns alone."""
+        factor = float(factor)
+        sq = [self._sq[i - 1], self._inflated(factor)[m - 1]]
+        inflated = _rescaled_scaling_of_squares(sq, 1, factor, self._k)
+        return self._group(frozenset((i, m))), inflated
 
 
 class FrechetMleScalings:
@@ -268,44 +329,39 @@ def _all_nodes(d: int) -> tuple[int, ...]:
 def _initial_deltas(provider: ScalingProvider, cfg: ReorderConfig) -> dict[int, float]:
     # a standardized model has unit singleton scalings, so the offset
     # stands in for the group scaling
+    scalings = provider.pass_scalings((), cfg.a)
     base = provider.max_scaling(_all_nodes(provider.node_count))
     offset = cfg.a**2 - 1.0
-    return {
-        m: rescaled - base - offset
-        for m, (_, rescaled) in provider.pass_scalings((), cfg.a).items()
-    }
+    return {m: rescaled - base - offset for m, (_, rescaled) in scalings.items()}
 
 
 def _generation_deltas(
     provider: ScalingProvider, ordered: Sequence[int], cfg: ReorderConfig
 ) -> dict[int, float]:
+    # the pass goes first, since a provider may cache the base on the way
+    scalings = provider.pass_scalings(ordered, cfg.a)
     base = provider.max_scaling(_all_nodes(provider.node_count))
     return {
         m: rescaled - base - (cfg.a**2 - 1.0) * group
-        for m, (group, rescaled) in provider.pass_scalings(ordered, cfg.a).items()
+        for m, (group, rescaled) in scalings.items()
     }
 
 
 def _pairwise_delta_bounds(
-    x: np.ndarray, provider: SpectralScalings, cfg: ReorderConfig
+    provider: SpectralScalings, cfg: ReorderConfig
 ) -> dict[int, tuple[float, float]]:
     # The plain scaling of a pair {i, m} does not depend on the column
     # order, so it comes from the provider's cache; the inflated one
     # does (only m is inflated) and is estimated for each ordered pair.
-    a = np.asarray(x, dtype=np.float64)
-    d = a.shape[1]
-    k = provider.threshold_count
     offset = cfg.a**2 - 1.0
     bounds: dict[int, tuple[float, float]] = {}
-    for m in range(1, d + 1):
+    for m in _all_nodes(provider.node_count):
         lo, hi = math.inf, -math.inf
-        for i in range(1, d + 1):
+        for i in _all_nodes(provider.node_count):
             if i == m:
                 delta = 0.0  # self-pair is exactly zero by construction
             else:
-                pair = a[:, [i - 1, m - 1]]
-                inflated = estimate_rescaled_max_scaling(pair, (), 2, cfg.a, k)
-                plain = provider.max_scaling((i, m))
+                plain, inflated = provider.pair_scalings(i, m, cfg.a)
                 delta = inflated - plain - offset
             lo, hi = min(lo, delta), max(hi, delta)
         bounds[m] = (lo, hi)
@@ -380,16 +436,14 @@ def _threshold_pass(provider: ScalingProvider, cfg: ReorderConfig) -> DeltaPass:
     return DeltaPass("initial", (), _single(deltas), tuple(accepted))
 
 
-def _pairwise_pass(
-    x: np.ndarray, provider: SpectralScalings, cfg: ReorderConfig
-) -> DeltaPass:
+def _pairwise_pass(provider: SpectralScalings, cfg: ReorderConfig) -> DeltaPass:
     """Initial pass on a sample, screening each node against every partner.
 
     For each candidate m the delta is computed on the two columns (i, m)
     alone; m passes when the largest delta stays below eps1 and the
     smallest above -eps2.
     """
-    bounds = _pairwise_delta_bounds(x, provider, cfg)
+    bounds = _pairwise_delta_bounds(provider, cfg)
     accepted = sorted(
         m for m, (lo, hi) in bounds.items() if hi <= cfg.eps1 and lo >= -cfg.eps2
     )
@@ -488,5 +542,5 @@ def learn_order(
         if k is None:
             raise ValidationError("k is required when learning from data")
         provider = SpectralScalings(x, k)
-        return _discover(provider, _pairwise_pass(x, provider, cfg), cfg, "argmax")
+        return _discover(provider, _pairwise_pass(provider, cfg), cfg, "argmax")
     return _discover(x, _threshold_pass(x, cfg), cfg, "argmax")

@@ -2,12 +2,16 @@
 
 Everything here is written with plain Python loops and explicit formulas,
 deliberately ignoring the package's own vectorized/kernel code paths, so a
-disagreement points at exactly one side.
+disagreement points at exactly one side.  The one exception,
+``rowmajor_scaling_sum``, is the straightforward numpy form of a kernel
+that the kernel must match bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 
 def naive_ancestors(edges: list[tuple[int, int]], node: int) -> set[int]:
@@ -176,6 +180,24 @@ def naive_scaling_sum(rows: list[list[float]], k: int) -> tuple[float, int, int]
             acc += max(v * v for v in r) / s
             n_exc += 1
     return acc, n_exc, n_pos
+
+
+def rowmajor_scaling_sum(x: np.ndarray, k: int) -> tuple[float, int, int]:
+    """``_kernels.scaling_sum`` as a row-major reduction of the whole (n, q)
+    sample: every row's squared radius is its ``sum(axis=1)``.  Not a
+    plain loop: this is the bit-level oracle for the banded kernel, which
+    must reproduce it exactly, rounding of every row sum included."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    sq = x * x
+    r2 = sq.sum(axis=1)
+    n_pos = int(np.count_nonzero(r2 > 0.0))
+    if n_pos < k:
+        return float("nan"), 0, n_pos
+    n = r2.shape[0]
+    thr = np.partition(r2, n - k)[n - k]
+    sel = r2 >= thr
+    acc = float((sq[sel].max(axis=1) / r2[sel]).sum())
+    return acc, int(np.count_nonzero(sel)), n_pos
 
 
 def naive_rowmax_invsq_mean(rows: list[list[float]], w: list[float]) -> float:

@@ -426,6 +426,21 @@ def test_all_zero_data_spectral_is_threshold_error(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("scalings", ["mle", "spectral"])
+def test_zero_column_is_threshold_error(tmp_path, scalings, capsys):
+    # a Fréchet(2) sample whose third column carries nothing
+    x = np.random.default_rng(0).standard_exponential((2000, 3)) ** -0.5
+    x[:, 2] = 0.0
+    data = tmp_path / "zero.csv"
+    write_sample_csv(x, data)
+    out = tmp_path / "x"
+    argv = ["learn", "--out", str(out), "--data", str(data), "--transform", "none"]
+    assert main([*argv, "--scalings", scalings]) == 3
+    if scalings == "spectral":
+        assert "column 3 is all zero" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_zero_tolerances_find_no_initial_node(tmp_path, sim_dir):
     rc = main(
         [

@@ -14,6 +14,7 @@ from reference import (
     naive_max_matrix_product,
     naive_rowmax_invsq_mean,
     naive_scaling_sum,
+    rowmajor_scaling_sum,
 )
 
 
@@ -22,6 +23,10 @@ def _random_sample(seed: int, n: int, q: int) -> np.ndarray:
     x = rng.pareto(2.0, size=(n, q)) + 1.0
     x[rng.random(size=(n, q)) < 0.2] = 0.0
     return x
+
+
+def _squared_columns(x: np.ndarray) -> list[np.ndarray]:
+    return [c * c for c in np.asarray(x, dtype=np.float64).T]
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +42,7 @@ def test_max_times_product_numpy_hand_value():
 
 def test_scaling_sum_numpy_hand_value():
     x = np.array([[3.0, 4.0], [6.0, 8.0], [1.0, 0.0], [0.0, 1.0]])
-    acc, n_exc, n_pos = kern.scaling_sum(x, 2)
+    acc, n_exc, n_pos = kern.scaling_sum(_squared_columns(x), 2)
     assert acc == pytest.approx(2 * (16.0 / 25.0))
     assert n_exc == 2
     assert n_pos == 4
@@ -46,7 +51,8 @@ def test_scaling_sum_numpy_hand_value():
 def test_scaling_sum_nan_when_too_few_positive_rows():
     x = np.zeros((5, 3))
     x[0, 0] = 1.0
-    for acc, n_exc, n_pos in (kern.scaling_sum(x, 2), naive_scaling_sum(x.tolist(), 2)):
+    got = kern.scaling_sum(_squared_columns(x), 2)
+    for acc, n_exc, n_pos in (got, naive_scaling_sum(x.tolist(), 2)):
         assert math.isnan(acc)
         assert n_exc == 0
         assert n_pos == 1
@@ -87,7 +93,7 @@ def test_max_times_product_matches_oracle(seed, n, q):
 def test_scaling_sum_matches_oracle(seed, n, q):
     x = _random_sample(seed, n, q)
     k = max(1, n // 3)
-    acc, n_exc, n_pos = kern.scaling_sum(x, k)
+    acc, n_exc, n_pos = kern.scaling_sum(_squared_columns(x), k)
     want_acc, want_exc, want_pos = naive_scaling_sum(x.tolist(), k)
     if math.isnan(want_acc):
         assert math.isnan(acc)
@@ -104,3 +110,42 @@ def test_rowmax_invsq_mean_matches_oracle(seed, n, q):
     w = rng.uniform(0.5, 2.0, size=q)
     want = naive_rowmax_invsq_mean(x.tolist(), w.tolist())
     assert kern.scaled_rowmax_invsq_mean(x, w) == pytest.approx(want, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# bit identity of the banded scaling_sum with the row-major reduction
+
+
+def _hard_sample(kind: str, seed: int, n: int, q: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if kind == "ties":
+        # few distinct values: many rows share their radius exactly
+        x = rng.choice([0.0, 1.0, 2.0, 3.0], size=(n, q))
+    elif kind == "permuted":
+        # every row permutes one set of magnitudes, so the exact radii tie
+        # and only the rounding of each row sum separates them
+        base = rng.uniform(1.0, 2.0, size=q) * 10.0 ** rng.integers(-8, 9, size=q)
+        x = np.array([rng.permutation(base) for _ in range(n)]).reshape(n, q)
+    else:  # "wide": squares that are subnormal, flush to zero or overflow
+        x = rng.uniform(1.0, 10.0, size=(n, q)) * 10.0 ** rng.integers(-170, 170, size=(n, q))
+    x[rng.random(size=n) < 0.2] = 0.0  # zero rows
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["ties", "permuted", "wide"]),
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 300),
+    q=st.integers(1, 14),
+    frac=st.floats(0.0, 1.0),
+)
+def test_scaling_sum_equals_row_major_reference(kind, seed, n, q, frac):
+    x = _hard_sample(kind, seed, n, q)
+    k = 1 + int(frac * (n - 1))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        acc, n_exc, n_pos = kern.scaling_sum(_squared_columns(x), k)
+        want_acc, want_exc, want_pos = rowmajor_scaling_sum(x, k)
+    assert (n_exc, n_pos) == (want_exc, want_pos)
+    assert acc == want_acc or (math.isnan(acc) and math.isnan(want_acc))
+

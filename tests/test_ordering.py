@@ -35,7 +35,9 @@ from maxlinear import (
     ten_node_dag,
     ten_node_model,
 )
-from maxlinear import _kernels
+from maxlinear import _kernels, estimation, ordering
+from maxlinear.estimation import estimate_rescaled_max_scaling
+from maxlinear.ordering import _pairwise_delta_bounds
 from maxlinear.pipeline import scaling_vector_from_provider
 from maxlinear.presets import TEN_NODE_GENERATIONS
 
@@ -163,6 +165,54 @@ def test_mle_pass_scalings_equal_per_subset_fits(kind, data, d, n, factor):
             )
             got = _outcome(lambda: FrechetMleScalings(x).pass_scalings(head, factor))
         assert got == want
+
+
+@pytest.mark.parametrize("kind", sorted(_ELEMENTS))
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    d=st.sampled_from([1, 2, 3, 10, 12]),
+    n=st.integers(1, 30),
+    factor=st.sampled_from([1.01, math.sqrt(2.0), 3.0]),
+)
+def test_spectral_pass_scalings_equal_per_subset_estimates(kind, data, d, n, factor):
+    # q >= 8 columns reach numpy's pairwise row sum in the row-major re-sum
+    x = data.draw(hnp.arrays(np.float64, (n, d), elements=_ELEMENTS[kind]))
+    k = data.draw(st.integers(1, n))
+    order = data.draw(st.permutations(range(1, d + 1)))
+    for head in {(), tuple(order[: d // 2]), tuple(order[: d - 1])}:
+
+        def per_subset():
+            prov = SpectralScalings(x, k)
+            return {
+                m: (prov.max_scaling((*head, m)), prov.rescaled_scaling(head, m, factor))
+                for m in range(1, d + 1)
+                if m not in head
+            }
+
+        want = _outcome(per_subset)
+        got = _outcome(lambda: SpectralScalings(x, k).pass_scalings(head, factor))
+        assert got == want
+
+    offset = factor**2 - 1.0
+
+    def public_bounds():
+        SpectralScalings(x, k)  # the same construction checks
+        bounds = {}
+        for m in range(1, d + 1):
+            deltas = [0.0]
+            for i in range(1, d + 1):
+                if i != m:
+                    pair = x[:, [i - 1, m - 1]]
+                    inflated = estimate_rescaled_max_scaling(pair, (), 2, factor, k)
+                    plain = estimate_max_scaling(x, sorted((i, m)), k)
+                    deltas.append(inflated - plain - offset)
+            bounds[m] = (min(deltas), max(deltas))
+        return bounds
+
+    cfg = ReorderConfig(a=factor)
+    got = _outcome(lambda: _pairwise_delta_bounds(SpectralScalings(x, k), cfg))
+    assert got == _outcome(public_bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +411,28 @@ def test_learn_order_ten_node_data_frozen_seed(preset_model):
     # self-pair bound is always part of the recorded interval
     for m, (lo, hi) in res.passes[0].deltas.items():
         assert lo <= 0.0 <= hi
+
+
+def test_learn_order_ten_node_data_uses_cached_columns(preset_model, monkeypatch):
+    xt = empirical_frechet_transform(simulate(preset_model, 0, 10_000))
+    calls = {"estimate": 0, "validate": 0}
+
+    def counted(fn, what):
+        def wrapper(*args, **kwargs):
+            calls[what] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("estimate_max_scaling", "estimate_rescaled_max_scaling"):
+        monkeypatch.setattr(ordering, name, counted(getattr(ordering, name), "estimate"))
+    for module in (ordering, estimation):
+        monkeypatch.setattr(module, "_as_sample", counted(module._as_sample, "validate"))
+    res = learn_order(xt, ReorderConfig.data_preset(), k=100)
+    # every estimate of the screen and the argmax passes reads the
+    # provider's squared columns, validated once at construction
+    assert calls == {"estimate": 0, "validate": 1}
+    assert res.valid
 
 
 def test_learn_order_ten_node_mle_provider_frozen_seed(preset_model, monkeypatch):

@@ -19,10 +19,10 @@ The public estimators validate and square their sample on every call;
 ``ordering.SpectralScalings`` validates and squares it once and feeds
 the same kernel views of its cached columns, with bit-identical results.
 
-A parametric alternative, the Frechet(2) maximum-likelihood scaling of
-a sequence of maxima, backs the simulation-study harness.  Marginal
-standardization helpers (negative part, empirical rank transform to
-Frechet(2) margins) prepare raw data for both.
+Marginal standardization helpers (negative part, empirical rank
+transform to Frechet(2) margins) prepare raw data for these estimators
+and for the parametric alternative, the Frechet(2) maximum-likelihood
+scalings of ``ordering.FrechetMleScalings``.
 
 The threshold count k defaults to ``ceil(sqrt(n))``.  Documented
 presets for the shipped analyses: k=50 at n=2285 and k=100 at n=9544.
@@ -38,6 +38,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ThresholdError, ValidationError
+from .model import _check_nodes, _inflated_nodes
 
 
 def default_threshold_count(n: int) -> int:
@@ -54,18 +55,6 @@ def _as_sample(x: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValidationError("sample has non-finite entries")
     return a
-
-
-def _as_columns(cols: Sequence[int], d: int) -> tuple[int, ...]:
-    out = tuple(int(c) for c in cols)
-    if not out:
-        raise ValidationError("column subset must be non-empty")
-    if len(set(out)) != len(out):
-        raise ValidationError(f"duplicate columns in {out}")
-    for c in out:
-        if not 1 <= c <= d:
-            raise ValidationError(f"column {c} outside 1..{d}")
-    return out
 
 
 @dataclass(frozen=True)
@@ -106,7 +95,7 @@ def polar_decompose(x: np.ndarray, cols: Sequence[int], k: int) -> PolarSample:
             subset.
     """
     a = _as_sample(x)
-    subset = _as_columns(cols, a.shape[1])
+    subset = _check_nodes(cols, a.shape[1])
     sub = a[:, [c - 1 for c in subset]]
     radii = np.sqrt((sub**2).sum(axis=1))
     keep = radii > 0.0
@@ -188,7 +177,7 @@ def estimate_max_scaling(x: np.ndarray, cols: Sequence[int], k: int) -> float:
         ThresholdError: fewer than k rows with positive radius.
     """
     a = _as_sample(x)
-    subset = _as_columns(cols, a.shape[1])
+    subset = _check_nodes(cols, a.shape[1])
     sub = [a[:, c - 1] for c in subset]
     return _max_scaling_of_squares([v * v for v in sub], subset, k)
 
@@ -217,38 +206,9 @@ def estimate_rescaled_max_scaling(
     """
     a = _as_sample(x)
     d = a.shape[1]
-    hs = tuple(int(c) for c in ordered)
-    if hs:
-        hs = _as_columns(hs, d)
-    (m,) = _as_columns([node], d)
-    if m in hs:
-        raise ValidationError(f"node {m} already in ordered set {hs}")
-    if not factor > 1.0:
-        raise ValidationError(f"scaling factor must exceed 1, got {factor}")
-    grown = {c - 1 for c in (*hs, m)}
+    grown = {c - 1 for c in _inflated_nodes(ordered, node, factor, d)}
     cols = [factor * a[:, j] if j in grown else a[:, j] for j in range(d)]
     return _rescaled_scaling_of_squares([v * v for v in cols], len(grown), factor, k)
-
-
-def frechet_mle_scaling(maxima: Sequence[float] | np.ndarray) -> float:
-    """Maximum-likelihood squared scaling of Frechet(2) maxima.
-
-    For a sample of positive maxima m_1..m_n the MLE of the squared
-    scale is the reciprocal of the mean of ``m^-2``.
-
-    Raises:
-        ValidationError: empty input or any non-finite value.
-        ThresholdError: any non-positive value, a data condition under
-            which the estimate cannot be formed.
-    """
-    m = np.asarray(maxima, dtype=np.float64).ravel()
-    if m.size == 0:
-        raise ValidationError("maxima sequence is empty")
-    if not np.all(np.isfinite(m)):
-        raise ValidationError("maxima must be finite")
-    if np.any(m <= 0.0):
-        raise ThresholdError("maxima must be strictly positive for the MLE")
-    return float(1.0 / np.mean(m**-2.0))
 
 
 def negative_part(x: np.ndarray) -> np.ndarray:
@@ -264,6 +224,10 @@ def empirical_frechet_transform(x: np.ndarray) -> np.ndarray:
     ``(-log(rank / (n + 1)))^(-1/2)`` where rank counts entries weakly
     below it (ties share a value; no jittering).  The column maximum
     maps to ``(-log(n/(n+1)))^(-1/2)``, about ``sqrt(n)``.
+
+    Raises:
+        ThresholdError: a column is constant, so it carries no tail
+            information (all of it would map to that maximum value).
     """
     a = _as_sample(x)
     n = a.shape[0]
@@ -271,6 +235,10 @@ def empirical_frechet_transform(x: np.ndarray) -> np.ndarray:
     for c in range(a.shape[1]):
         col = a[:, c]
         order = np.sort(col)
+        if order[0] == order[-1]:
+            raise ThresholdError(
+                f"column {c + 1} is constant and carries no tail information"
+            )
         ranks = np.searchsorted(order, col, side="right")
         out[:, c] = (-np.log(ranks / (n + 1.0))) ** -0.5
     return out

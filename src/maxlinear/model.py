@@ -1,5 +1,5 @@
-"""Recursive max-linear models: max-times algebra, standardization,
-simulation, and the discrete spectral measure.
+"""Recursive max-linear models: standardization, simulation, and the
+exact scalings of maxima.
 
 A model on d nodes is given by a coefficient matrix ``A`` with
 ``a_ij >= 0`` and positive diagonal; component i of the modelled vector
@@ -18,8 +18,7 @@ and ordering modules recover from data.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -84,31 +83,6 @@ def standardize(coef: np.ndarray, alpha: float = 2.0) -> np.ndarray:
     return a / norms[:, None]
 
 
-def max_matrix_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Matrix product with (max, *) in place of (+, *).
-
-    Entry (i, j) of the result is ``max_k left[i, k] * right[k, j]``.
-    One-dimensional inputs are treated as a single row (left) or single
-    column (right), mirroring ``numpy.matmul``.
-    """
-    l = np.asarray(left, dtype=np.float64)
-    r = np.asarray(right, dtype=np.float64)
-    l2 = l[None, :] if l.ndim == 1 else l
-    r2 = r[:, None] if r.ndim == 1 else r
-    if l2.ndim != 2 or r2.ndim != 2 or l2.shape[1] != r2.shape[0]:
-        raise ValidationError(
-            f"inner dimensions do not match: {l.shape} x {r.shape}"
-        )
-    out = _kernels.max_times_product(np.ascontiguousarray(l2), np.ascontiguousarray(r2))
-    if l.ndim == 1 and r.ndim == 1:
-        return out[0, 0]
-    if l.ndim == 1:
-        return out[0]
-    if r.ndim == 1:
-        return out[:, 0]
-    return out
-
-
 def _frechet2_block(rng: np.random.Generator, rows: int, d: int) -> np.ndarray:
     # Inverse transform; rows are drawn in C order, so each row consumes
     # its d uniforms in column order.  rng.random lives in [0, 1): the
@@ -169,7 +143,11 @@ def simulate(coef: np.ndarray, seed: int, n: int, workers: int = 1) -> np.ndarra
 
 
 def _check_nodes(nodes: Iterable[int], d: int) -> tuple[int, ...]:
+    """Node (or column) labels as ints: at least one, each in 1..d, none
+    repeated."""
     out = tuple(int(v) for v in nodes)
+    if not out:
+        raise ValidationError("node subset must be non-empty")
     for v in out:
         if not 1 <= v <= d:
             raise ValidationError(f"node {v} outside 1..{d}")
@@ -178,17 +156,20 @@ def _check_nodes(nodes: Iterable[int], d: int) -> tuple[int, ...]:
     return out
 
 
-def pair_scaling(coef: np.ndarray, i: int, j: int) -> float:
-    """Squared joint scaling of components i and j: ``sum_k a_ik a_jk``.
+def _check_factor(factor: float) -> None:
+    if not factor > 1.0:
+        raise ValidationError(f"inflation factor a must exceed 1, got {factor}")
 
-    Equals the (i, j) entry of ``A Aᵀ``; the diagonal gives the squared
-    component scalings, which are 1 after standardization.
-    """
-    a = as_coefficient_matrix(coef)
-    d = a.shape[0]
-    (i,) = _check_nodes([i], d)
-    (j,) = _check_nodes([j], d)
-    return float(a[i - 1] @ a[j - 1])
+
+def _inflated_nodes(
+    ordered: Sequence[int], node: int, factor: float, d: int
+) -> tuple[int, ...]:
+    """The labels ``(*ordered, node)`` that a rescaled scaling inflates by
+    ``factor``, checked: each in 1..d, ``node`` not in ``ordered``, no
+    repeats, and ``factor > 1``."""
+    grown = _check_nodes((*ordered, node), d)
+    _check_factor(factor)
+    return grown
 
 
 def max_scaling(coef: np.ndarray, nodes: Sequence[int]) -> float:
@@ -204,10 +185,7 @@ def max_scaling(coef: np.ndarray, nodes: Sequence[int]) -> float:
         nodes: non-empty collection of node labels (1-based).
     """
     a = as_coefficient_matrix(coef)
-    sel = _check_nodes(nodes, a.shape[0])
-    if not sel:
-        raise ValidationError("node subset must be non-empty")
-    rows = np.array([v - 1 for v in sel])
+    rows = np.array([v - 1 for v in _check_nodes(nodes, a.shape[0])])
     return float((a[rows] ** 2).max(axis=0).sum())
 
 
@@ -236,69 +214,11 @@ def rescaled_max_scaling(
     """
     a = as_coefficient_matrix(coef)
     d = a.shape[0]
-    hs = _check_nodes(ordered, d)
-    (m,) = _check_nodes([node], d)
-    if m in hs:
-        raise ValidationError(f"node {m} already in ordered set {hs}")
-    if not factor > 1.0:
-        raise ValidationError(f"scaling factor must exceed 1, got {factor}")
-    scaled = np.array([v - 1 for v in (*hs, m)])
-    rest = np.array([v - 1 for v in range(1, d + 1) if v not in set((*hs, m))])
+    grown = _inflated_nodes(ordered, node, factor, d)
+    scaled = np.array([v - 1 for v in grown])
+    rest = np.array([v - 1 for v in range(1, d + 1) if v not in set(grown)])
     sq = a**2
     top = factor**2 * sq[scaled].max(axis=0)
     if rest.size:
         top = np.maximum(top, sq[rest].max(axis=0))
     return float(top.sum())
-
-
-@dataclass(frozen=True)
-class SpectralAtoms:
-    """Discrete spectral measure of a max-linear vector.
-
-    ``masses[k]`` is the squared norm of column k of the coefficient
-    matrix, ``directions[k]`` that column normalized to the unit sphere.
-    Total mass equals the sum of squared component scalings.
-    """
-
-    masses: np.ndarray
-    directions: np.ndarray
-
-    @property
-    def total_mass(self) -> float:
-        return float(self.masses.sum())
-
-
-def spectral_atoms(coef: np.ndarray) -> SpectralAtoms:
-    """One spectral atom per innovation column of the model."""
-    a = as_coefficient_matrix(coef)
-    col_mass = (a**2).sum(axis=0)
-    if np.any(col_mass <= 0.0):
-        raise ValidationError("coefficient matrix has an all-zero column")
-    norms = np.sqrt(col_mass)
-    return SpectralAtoms(masses=col_mass, directions=(a / norms).T.copy())
-
-
-def spectral_expectation(coef: np.ndarray, f: Callable[[np.ndarray], float]) -> float:
-    """Expectation of ``f`` under the normalized spectral measure.
-
-    Args:
-        coef: coefficient matrix.
-        f: function of a unit-sphere direction vector.
-
-    Returns:
-        ``sum_k mass_k f(atom_k) / sum_k mass_k``.
-    """
-    atoms = spectral_atoms(coef)
-    values = np.array([float(f(w)) for w in atoms.directions])
-    return float((atoms.masses * values).sum() / atoms.total_mass)
-
-
-def extreme_dependence_measure(coef: np.ndarray, i: int, j: int) -> float:
-    """Normalized angular cross-moment of components i and j.
-
-    Equals ``pair_scaling(i, j)`` divided by the total spectral mass;
-    zero exactly when components i and j share no innovation.
-    """
-    a = as_coefficient_matrix(coef)
-    total = float((a**2).sum())
-    return pair_scaling(a, i, j) / total

@@ -60,7 +60,12 @@ from .estimation import (
     estimate_max_scaling,
     estimate_rescaled_max_scaling,
 )
-from .model import as_coefficient_matrix, max_scaling, rescaled_max_scaling
+from .model import (
+    _check_factor,
+    as_coefficient_matrix,
+    max_scaling,
+    rescaled_max_scaling,
+)
 
 MODES = ("exact-scalings", "estimated")
 
@@ -84,8 +89,7 @@ class ReorderConfig:
     mode: str = "exact-scalings"
 
     def __post_init__(self) -> None:
-        if not self.a > 1.0:
-            raise ValidationError(f"inflation factor a must exceed 1, got {self.a}")
+        _check_factor(self.a)
         if min(self.eps1, self.eps2, self.eps3) < 0.0:
             raise ValidationError("tolerances must be non-negative")
         if self.mode not in MODES:
@@ -104,18 +108,15 @@ class ScalingProvider(Protocol):
     """Source of squared scalings over node subsets, exact or estimated.
 
     ``pass_scalings(ordered, factor)`` maps every node m outside
-    ``ordered`` to ``(max_scaling((*ordered, m)),
-    rescaled_scaling(ordered, m, factor))``.
+    ``ordered`` to ``(max_scaling((*ordered, m)), r)``, where r is the
+    squared scaling of the maximum of all components with ``ordered``
+    and m inflated by ``factor``.
     """
 
     @property
     def node_count(self) -> int: ...
 
     def max_scaling(self, nodes: Sequence[int]) -> float: ...
-
-    def rescaled_scaling(
-        self, ordered: Sequence[int], node: int, factor: float
-    ) -> float: ...
 
     def pass_scalings(
         self, ordered: Sequence[int], factor: float
@@ -205,8 +206,7 @@ class SpectralScalings:
 
     def _inflated(self, factor: float) -> np.ndarray:
         if factor not in self._inflated_sq:
-            if not factor > 1.0:
-                raise ValidationError(f"scaling factor must exceed 1, got {factor}")
+            _check_factor(factor)
             scaled = factor * self._cols
             self._inflated_sq[factor] = scaled * scaled
         return self._inflated_sq[factor]
@@ -306,8 +306,7 @@ class FrechetMleScalings:
         self, ordered: Sequence[int], factor: float
     ) -> dict[int, tuple[float, float]]:
         factor = float(factor)
-        if not factor > 1.0:
-            raise ValidationError(f"scaling factor must exceed 1, got {factor}")
+        _check_factor(factor)
         hs = frozenset(int(v) for v in ordered)
         means = _kernels.rowmax_pass_invsq_means(self._cols, sorted(v - 1 for v in hs), factor)
         out: dict[int, tuple[float, float]] = {}

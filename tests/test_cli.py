@@ -426,18 +426,32 @@ def test_all_zero_data_spectral_is_threshold_error(tmp_path):
     assert rc == 3
 
 
-@pytest.mark.parametrize("scalings", ["mle", "spectral"])
-def test_zero_column_is_threshold_error(tmp_path, scalings, capsys):
+@pytest.mark.parametrize(
+    ("scalings", "transform", "fill", "message"),
+    [
+        pytest.param("mle", "none", 0.0, "", id="mle"),
+        pytest.param("spectral", "none", 0.0, "column 3 is all zero", id="spectral"),
+        # the rank transform would map a constant column to a constant
+        pytest.param("mle", "frechet", 0.0, "column 3 is constant", id="mle-frechet-zeros"),
+        pytest.param("mle", "frechet", 1.0, "column 3 is constant", id="mle-frechet-ones"),
+        pytest.param(
+            "spectral", "frechet", 0.0, "column 3 is constant", id="spectral-frechet-zeros"
+        ),
+        pytest.param(
+            "spectral", "frechet", 1.0, "column 3 is constant", id="spectral-frechet-ones"
+        ),
+    ],
+)
+def test_zero_column_is_threshold_error(tmp_path, scalings, transform, fill, message, capsys):
     # a Fréchet(2) sample whose third column carries nothing
     x = np.random.default_rng(0).standard_exponential((2000, 3)) ** -0.5
-    x[:, 2] = 0.0
+    x[:, 2] = fill
     data = tmp_path / "zero.csv"
     write_sample_csv(x, data)
     out = tmp_path / "x"
-    argv = ["learn", "--out", str(out), "--data", str(data), "--transform", "none"]
+    argv = ["learn", "--out", str(out), "--data", str(data), "--transform", transform]
     assert main([*argv, "--scalings", scalings]) == 3
-    if scalings == "spectral":
-        assert "column 3 is all zero" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (out / "report.json").exists()
 
 

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxlinear import (
+    FrechetMleScalings,
     ThresholdError,
     ValidationError,
     default_threshold_count,
     empirical_frechet_transform,
     estimate_max_scaling,
     estimate_rescaled_max_scaling,
-    frechet_mle_scaling,
     max_scaling,
     negative_part,
     polar_decompose,
@@ -108,6 +108,10 @@ def test_rescaled_estimate_validates():
         estimate_rescaled_max_scaling(rows, [2], 2, 2.0, k=1)
     with pytest.raises(ValidationError):
         estimate_rescaled_max_scaling(rows, [], 2, 0.9, k=1)
+    with pytest.raises(ValidationError):
+        estimate_rescaled_max_scaling(rows, [1], 3, 2.0, k=1)  # node outside 1..d
+    with pytest.raises(ValidationError):
+        estimate_rescaled_max_scaling(rows, [1, 1], 2, 2.0, k=1)  # repeated head
 
 
 # ---------------------------------------------------------------------------
@@ -179,18 +183,23 @@ def test_rescaled_estimate_approaches_truth(two_node_model):
 # Frechet(2) MLE
 
 
+def _mle(maxima) -> float:
+    """The provider's MLE fit of one column of maxima."""
+    return FrechetMleScalings(np.reshape(maxima, (-1, 1))).max_scaling([1])
+
+
 def test_frechet_mle_hand_value():
-    assert frechet_mle_scaling([1.0, 2.0]) == pytest.approx(1.6)
-    assert frechet_mle_scaling([1.0, 2.0]) == pytest.approx(naive_frechet_mle([1.0, 2.0]))
+    assert _mle([1.0, 2.0]) == pytest.approx(1.6)
+    assert _mle([1.0, 2.0]) == pytest.approx(naive_frechet_mle([1.0, 2.0]))
 
 
 def test_frechet_mle_validates():
     with pytest.raises(ValidationError):
-        frechet_mle_scaling([])
+        _mle([])
     with pytest.raises(ThresholdError):
-        frechet_mle_scaling([1.0, 0.0])
+        _mle([1.0, 0.0])
     with pytest.raises(ValidationError):
-        frechet_mle_scaling([1.0, np.inf])
+        _mle([1.0, np.inf])
 
 
 @settings(max_examples=30, deadline=None)
@@ -198,14 +207,14 @@ def test_frechet_mle_validates():
 def test_frechet_mle_scale_equivariant(seed, c):
     rng = np.random.default_rng(seed)
     m = rng.pareto(2.0, size=50) + 0.2
-    assert frechet_mle_scaling(c * m) == pytest.approx(c * c * frechet_mle_scaling(m))
+    assert _mle(c * m) == pytest.approx(c * c * _mle(m))
 
 
 def test_frechet_mle_consistent_for_true_frechet(two_node_model):
     x = simulate(two_node_model, 1, 200_000)
     # X_1 and X_2 are standard Frechet(2): squared scale 1
-    assert frechet_mle_scaling(x[:, 0]) == pytest.approx(1.0, abs=0.02)
-    assert frechet_mle_scaling(x.max(axis=1)) == pytest.approx(
+    assert _mle(x[:, 0]) == pytest.approx(1.0, abs=0.02)
+    assert _mle(x.max(axis=1)) == pytest.approx(
         max_scaling(two_node_model, [1, 2]), abs=0.03
     )
 
@@ -236,6 +245,9 @@ def test_rank_transform_monotone_and_tie_stable():
     out = empirical_frechet_transform(col)[:, 0]
     assert out[0] == out[2]  # ties share a value
     assert out[1] < out[3] < out[0]
+    # a column tied throughout would map to a constant: no tail information
+    with pytest.raises(ThresholdError, match="column 2 is constant"):
+        empirical_frechet_transform(np.column_stack([col[:, 0], np.ones(4)]))
 
 
 def test_rank_transform_margins_near_frechet():
@@ -243,5 +255,5 @@ def test_rank_transform_margins_near_frechet():
     x = rng.normal(size=(50_000, 2))
     out = empirical_frechet_transform(x)
     # transformed margins should carry squared scale about 1
-    assert frechet_mle_scaling(out[:, 0]) == pytest.approx(1.0, abs=0.05)
-    assert frechet_mle_scaling(out[:, 1]) == pytest.approx(1.0, abs=0.05)
+    assert _mle(out[:, 0]) == pytest.approx(1.0, abs=0.05)
+    assert _mle(out[:, 1]) == pytest.approx(1.0, abs=0.05)

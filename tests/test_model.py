@@ -1,4 +1,4 @@
-"""Coefficient-matrix algebra, simulation, scalings, spectral measure."""
+"""Coefficient matrices, simulation and exact scalings."""
 
 from __future__ import annotations
 
@@ -10,24 +10,18 @@ from hypothesis import strategies as st
 from maxlinear import (
     ValidationError,
     as_coefficient_matrix,
-    extreme_dependence_measure,
     is_standardized,
-    max_matrix_product,
     max_scaling,
-    pair_scaling,
     path_coefficients,
     random_standardized_model,
     random_weights,
     random_well_ordered_dag,
     rescaled_max_scaling,
     simulate,
-    spectral_atoms,
-    spectral_expectation,
     standardize,
 )
 
 from reference import (
-    naive_max_matrix_product,
     naive_max_scaling,
     naive_rescaled_max_scaling,
 )
@@ -69,6 +63,15 @@ def test_standardize_idempotent_and_scale_free(d, seed):
     assert np.allclose(standardize(coef * scales[:, None]), std, atol=1e-14)
 
 
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(2, 7), seed=st.integers(0, 10_000))
+def test_total_mass_is_d_for_standardized(d, seed):
+    # the spectral atoms carry the squared column norms of A, so their
+    # total mass is the sum of the squared row norms: d once standardized
+    coef = random_standardized_model(d, np.random.default_rng(seed))
+    assert float((coef**2).sum()) == pytest.approx(d)
+
+
 @settings(max_examples=40, deadline=None)
 @given(d=st.integers(2, 8), seed=st.integers(0, 10_000))
 def test_diagonal_dominates_ancestor_entries_after_standardize(d, seed):
@@ -80,39 +83,6 @@ def test_diagonal_dominates_ancestor_entries_after_standardize(d, seed):
     for i in range(1, d + 1):
         for j in dag.ancestors(i):
             assert coef[j - 1, j - 1] > coef[i - 1, j - 1]
-
-
-# ---------------------------------------------------------------------------
-# max-times product
-
-
-def test_max_matrix_product_hand_example():
-    a = np.array([[1.0, 2.0], [0.5, 3.0]])
-    b = np.array([[4.0, 0.1], [1.0, 5.0]])
-    got = max_matrix_product(a, b)
-    want = naive_max_matrix_product(a.tolist(), b.tolist())
-    assert np.array_equal(got, np.asarray(want))
-    assert got[0, 0] == 4.0  # max(1*4, 2*1)
-    assert got[0, 1] == 10.0  # max(1*0.1, 2*5)
-
-
-def test_max_matrix_product_vector_promotion():
-    a = np.array([[1.0, 2.0], [0.5, 3.0]])
-    z = np.array([4.0, 1.0])
-    got = max_matrix_product(a, z)
-    assert got.shape == (2,)
-    assert np.array_equal(got, np.array([4.0, 3.0]))
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10_000))
-def test_max_matrix_product_matches_naive(seed):
-    rng = np.random.default_rng(seed)
-    a = rng.uniform(0, 2, size=(5, 4))
-    b = rng.uniform(0, 2, size=(4, 6))
-    got = max_matrix_product(a, b)
-    want = np.asarray(naive_max_matrix_product(a.tolist(), b.tolist()))
-    assert np.allclose(got, want, rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -198,11 +168,6 @@ def test_simulated_tail_matches_scaling(two_node_model):
 # theoretical scalings
 
 
-def test_pair_scaling_hand_value(two_node_model):
-    assert pair_scaling(two_node_model, 1, 2) == pytest.approx(2.0**-0.5)
-    assert pair_scaling(two_node_model, 1, 1) == pytest.approx(1.0)
-
-
 def test_max_scaling_hand_values(two_node_model):
     assert max_scaling(two_node_model, [1]) == pytest.approx(1.0)
     assert max_scaling(two_node_model, [1, 2]) == pytest.approx(1.5)
@@ -268,6 +233,10 @@ def test_rescaled_max_scaling_validates(two_node_model):
         rescaled_max_scaling(two_node_model, [2], 2, 2.0)  # node already ordered
     with pytest.raises(ValidationError):
         rescaled_max_scaling(two_node_model, [], 2, 1.0)  # factor must exceed 1
+    with pytest.raises(ValidationError):
+        rescaled_max_scaling(two_node_model, [1], 3, 2.0)  # node outside 1..d
+    with pytest.raises(ValidationError):
+        rescaled_max_scaling(two_node_model, [1, 1], 2, 2.0)  # repeated head
 
 
 @settings(max_examples=40, deadline=None)
@@ -282,44 +251,3 @@ def test_rescaled_max_scaling_matches_naive(d, seed):
     got = rescaled_max_scaling(coef, hs, node, factor)
     want = naive_rescaled_max_scaling(coef.tolist(), hs + [node], factor)
     assert got == pytest.approx(want)
-
-
-# ---------------------------------------------------------------------------
-# spectral measure
-
-
-def test_spectral_atoms_two_node(two_node_model):
-    atoms = spectral_atoms(two_node_model)
-    assert np.allclose(sorted(atoms.masses), [0.5, 1.5])
-    assert atoms.total_mass == pytest.approx(2.0)
-    for w in atoms.directions:
-        assert np.linalg.norm(w) == pytest.approx(1.0)
-    # the first column's atom points along e_1
-    idx = int(np.argmin(atoms.masses))
-    assert np.allclose(atoms.directions[idx], [1.0, 0.0])
-
-
-def test_spectral_atoms_rejects_zero_column():
-    with pytest.raises(ValidationError):
-        spectral_atoms(np.array([[1.0, 0.0], [1.0, 0.0]]))
-
-
-@settings(max_examples=30, deadline=None)
-@given(d=st.integers(2, 7), seed=st.integers(0, 10_000))
-def test_total_mass_is_d_for_standardized(d, seed):
-    coef = random_standardized_model(d, np.random.default_rng(seed))
-    assert spectral_atoms(coef).total_mass == pytest.approx(d)
-
-
-def test_spectral_expectation_recovers_scaling(two_node_model):
-    # E[max over h of omega^2] * total_mass reproduces the max scaling
-    got = spectral_expectation(two_node_model, lambda w: max(w[0] ** 2, w[1] ** 2))
-    assert got * 2.0 == pytest.approx(max_scaling(two_node_model, [1, 2]))
-
-
-def test_extreme_dependence_measure_values(two_node_model):
-    assert extreme_dependence_measure(two_node_model, 1, 2) == pytest.approx(
-        2.0**-0.5 / 2.0
-    )
-    independent = np.eye(3)
-    assert extreme_dependence_measure(independent, 1, 2) == 0.0

@@ -11,6 +11,7 @@ import pytest
 from maxlinear import (
     DagStructure,
     ExactScalings,
+    FrechetMleScalings,
     ValidationError,
     estimate_max_scaling,
     index_pairs,
@@ -420,9 +421,7 @@ def test_transform_frechet_gives_positive_unit_scale_margins(tmp_path):
     run_transform(TransformConfig(data=str(src), out=str(out), ops=("frechet",)))
     got, _ = read_sample_csv(out)
     assert np.all(got > 0)
-    from maxlinear import frechet_mle_scaling
-
-    assert frechet_mle_scaling(got[:, 0]) == pytest.approx(1.0, abs=0.05)
+    assert FrechetMleScalings(got).max_scaling([1]) == pytest.approx(1.0, abs=0.05)
 
 
 def test_transform_unknown_op(tmp_path):

@@ -3,7 +3,8 @@
 Three inner loops dominate the runtime of simulation studies and
 order-learning sweeps:
 
-* max-times matrix products (model simulation),
+* max-times matrix products (model simulation), swept one output
+  column at a time over the non-zero entries of the right factor only,
 * thresholded angular sums over the squared columns of a sample
   (``scaling_sum``, the spectral scaling estimates), which screen the
   rows with an O(n) sum per column and re-sum row-major only the thin
@@ -26,10 +27,6 @@ from typing import Sequence
 
 import numpy as np
 
-# Row-block size for the chunked max-times product; bounds temporary
-# broadcast buffers to a few MB regardless of sample length.
-_BLOCK = 8192
-
 # Unit roundoff of float64, and the cap on the screened k-th radius^2
 # below which scaling_sum's band needs no overflow case.
 _EPS = 2.0**-53
@@ -37,14 +34,38 @@ _BIG = 2.0**1023
 
 
 def max_times_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """``out[i, j] = max_k left[i, k] * right[k, j]``."""
-    n = left.shape[0]
-    out = np.empty((n, right.shape[1]), dtype=np.float64)
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        block = left[start:stop, :, None] * right[None, :, :]
-        np.max(block, axis=1, out=out[start:stop])
-    return out
+    """``out[i, j] = max_k left[i, k] * right[k, j]`` for non-negative,
+    finite ``left`` (n, q) and ``right`` (q, m).
+
+    ``left`` is transposed once into contiguous columns.  Each output
+    column starts from zeros and takes the elementwise maximum with
+    ``left[:, k] * right[k, j]`` for the k with ``right[k, j] != 0``
+    only.  On the non-negative finite inputs this function accepts
+    (``model.simulate`` passes Fréchet innovations and a checked
+    sampling matrix) the result is bit-identical to the dense
+    ``max(axis=1)`` over the broadcast ``left[:, :, None] * right``:
+
+    * every kept product is the same IEEE product, and ``max`` is exact
+      and does not depend on the order of its arguments;
+    * a skipped product is ``left[i, k] * 0 = +0``, and every product is
+      ``>= +0``, so it can only tie the zero start, which is the value
+      it would have contributed.
+
+    A negative or non-finite entry breaks that argument (``inf * 0`` is
+    nan, a negative product loses to the zero start); such inputs are
+    outside the contract.  So is the sign of a zero: a ``-0.0`` in
+    ``right`` is skipped like ``+0.0``, so an output column whose
+    ``right`` column is all signed zeros reads ``+0``.  The result is an
+    (n, m) view of a column-major buffer.
+    """
+    cols = np.ascontiguousarray(left.T, dtype=np.float64)
+    out = np.zeros((right.shape[1], cols.shape[1]), dtype=np.float64)
+    tmp = np.empty(cols.shape[1], dtype=np.float64)
+    for j in range(right.shape[1]):
+        for k in np.flatnonzero(right[:, j]):
+            np.multiply(cols[k], right[k, j], out=tmp)
+            np.maximum(out[j], tmp, out=out[j])
+    return out.T
 
 
 def scaling_sum(sq: Sequence[np.ndarray], k: int) -> tuple[float, int, int]:

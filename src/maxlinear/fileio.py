@@ -34,6 +34,10 @@ from .ordering import LearnResult
 
 FLOAT_FMT = "%.17g"
 
+# Rows per formatted chunk of a CSV write: keeps the format string and
+# the text written at once to a few hundred KB.
+_WRITE_BLOCK = 1024
+
 
 # ---------------------------------------------------------------------------
 # DAG
@@ -88,8 +92,16 @@ def write_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:
 
 
 def _write_rows(fh, a: np.ndarray) -> None:
-    """Rows in the line format of ``csv.writer``: comma-separated, CRLF."""
-    np.savetxt(fh, a, fmt=FLOAT_FMT, delimiter=",", newline="\r\n")
+    """Rows in the line format of ``csv.writer``: comma-separated, CRLF.
+
+    The bytes are those of ``np.savetxt`` with ``fmt=FLOAT_FMT``, which
+    formats one row of numpy scalars at a time; here one ``%`` format
+    covers a block of rows of Python floats.
+    """
+    row = ",".join([FLOAT_FMT] * a.shape[1]) + "\r\n"
+    for start in range(0, a.shape[0], _WRITE_BLOCK):
+        block = a[start : start + _WRITE_BLOCK]
+        fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:

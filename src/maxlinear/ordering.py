@@ -150,6 +150,19 @@ class ExactScalings:
         }
 
 
+def _varying_columns(x: np.ndarray) -> np.ndarray:
+    """A finite sample as a contiguous (d, n) array of its columns, none
+    of which is constant."""
+    cols = np.ascontiguousarray(_as_sample(x).T)
+    top = cols.max(axis=1)
+    const = np.flatnonzero(top == cols.min(axis=1))
+    if const.size:
+        c = const[0]
+        what = "all zero" if top[c] == 0.0 else "constant"
+        raise ThresholdError(f"column {c + 1} is {what} and carries no tail information")
+    return cols
+
+
 class SpectralScalings:
     """Angular-measure estimates from one sample with a fixed threshold.
 
@@ -165,17 +178,12 @@ class SpectralScalings:
 
     Raises:
         ValidationError: the sample is not a non-empty, finite 2-D matrix.
-        ThresholdError: a column is all zero, so no estimate that
-            involves it carries tail information.
+        ThresholdError: a column is constant (all zero included), so
+            no estimate that involves it carries tail information.
     """
 
     def __init__(self, x: np.ndarray, k: int) -> None:
-        self._cols = np.ascontiguousarray(_as_sample(x).T)
-        zero = np.flatnonzero(~self._cols.any(axis=1))
-        if zero.size:
-            raise ThresholdError(
-                f"column {zero[0] + 1} is all zero and carries no tail information"
-            )
+        self._cols = _varying_columns(x)
         self._k = int(k)
         self._sq = self._cols * self._cols
         self._inflated_sq: dict[float, np.ndarray] = {}
@@ -266,10 +274,12 @@ class FrechetMleScalings:
 
     Raises:
         ValidationError: the sample is not a non-empty, finite 2-D matrix.
+        ThresholdError: a column is constant (all zero included), so
+            no fit that involves it carries tail information.
     """
 
     def __init__(self, x: np.ndarray) -> None:
-        self._cols = np.ascontiguousarray(_as_sample(x).T)
+        self._cols = _varying_columns(x)
         self._max_cache: dict[frozenset[int], float] = {}
         self._resc_cache: dict[tuple[frozenset[int], int, float], float] = {}
 

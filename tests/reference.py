@@ -2,9 +2,10 @@
 
 Everything here is written with plain Python loops and explicit formulas,
 deliberately ignoring the package's own vectorized/kernel code paths, so a
-disagreement points at exactly one side.  The one exception,
-``rowmajor_scaling_sum``, is the straightforward numpy form of a kernel
-that the kernel must match bit for bit.
+disagreement points at exactly one side.  The two exceptions,
+``rowmajor_scaling_sum`` and ``dense_max_times_product``, are the
+straightforward numpy forms of kernels that must match them bit for
+bit.
 """
 
 from __future__ import annotations
@@ -198,6 +199,20 @@ def rowmajor_scaling_sum(x: np.ndarray, k: int) -> tuple[float, int, int]:
     sel = r2 >= thr
     acc = float((sq[sel].max(axis=1) / r2[sel]).sum())
     return acc, int(np.count_nonzero(sel)), n_pos
+
+
+def dense_max_times_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``_kernels.max_times_product`` as the dense broadcast: every product
+    ``left[i, k] * right[k, j]`` formed, zero entries of ``right``
+    included, then ``max(axis=1)``, in row blocks of 8192.  Not a plain
+    loop: this is the bit-level oracle for the sparse column sweep."""
+    n = left.shape[0]
+    out = np.empty((n, right.shape[1]), dtype=np.float64)
+    for start in range(0, n, 8192):
+        stop = min(start + 8192, n)
+        block = left[start:stop, :, None] * right[None, :, :]
+        np.max(block, axis=1, out=out[start:stop])
+    return out
 
 
 def naive_rowmax_invsq_mean(rows: list[list[float]], w: list[float]) -> float:

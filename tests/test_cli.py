@@ -431,6 +431,10 @@ def test_all_zero_data_spectral_is_threshold_error(tmp_path):
     [
         pytest.param("mle", "none", 0.0, "", id="mle"),
         pytest.param("spectral", "none", 0.0, "column 3 is all zero", id="spectral"),
+        pytest.param("mle", "none", 1.0, "column 3 is constant", id="mle-none-ones"),
+        pytest.param(
+            "spectral", "none", 1.0, "column 3 is constant", id="spectral-none-ones"
+        ),
         # the rank transform would map a constant column to a constant
         pytest.param("mle", "frechet", 0.0, "column 3 is constant", id="mle-frechet-zeros"),
         pytest.param("mle", "frechet", 1.0, "column 3 is constant", id="mle-frechet-ones"),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 
 import numpy as np
@@ -190,6 +191,23 @@ def test_sample_and_matrix_csv_layout(tmp_path):
     m = tmp_path / "m.csv"
     write_matrix_csv(x, m)
     assert m.read_bytes() == want.encode().split(b"\r\n", 1)[1]
+
+
+@pytest.mark.parametrize("d", [1, 10])
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])
+def test_csv_rows_are_savetxt_bytes(tmp_path, n, d):
+    special = [np.inf, np.nan, -0.0, 5e-324, 1e300, 0.1]
+    rng = np.random.default_rng(n * d)
+    x = rng.standard_exponential((n, d)) ** -0.5
+    x.flat[rng.choice(n * d, size=min(n * d, len(special)), replace=False)] = special[: n * d]
+    buf = io.StringIO(newline="")
+    np.savetxt(buf, x, fmt="%.17g", delimiter=",", newline="\r\n")
+    want = buf.getvalue().encode()
+    p = tmp_path / "x.csv"
+    write_sample_csv(x, p)
+    assert p.read_bytes().split(b"\r\n", 1)[1] == want
+    write_matrix_csv(x, p)
+    assert p.read_bytes() == want
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from maxlinear import _kernels as kern
 from reference import (
+    dense_max_times_product,
     naive_max_matrix_product,
     naive_rowmax_invsq_mean,
     naive_scaling_sum,
@@ -110,6 +111,41 @@ def test_rowmax_invsq_mean_matches_oracle(seed, n, q):
     w = rng.uniform(0.5, 2.0, size=q)
     want = naive_rowmax_invsq_mean(x.tolist(), w.tolist())
     assert kern.scaled_rowmax_invsq_mean(x, w) == pytest.approx(want, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# bit identity of the sparse max-times sweep with the dense broadcast
+
+
+def _sparse_factors(kind: str, seed: int, n: int, q: int, m: int):
+    rng = np.random.default_rng(seed)
+    # magnitudes wide enough that products underflow to 0 or overflow to inf
+    left = rng.uniform(0.5, 2.0, size=(n, q)) * 10.0 ** rng.integers(-160, 160, size=(n, q))
+    left[rng.random(size=(n, q)) < 0.2] = 0.0
+    right = rng.uniform(0.0, 3.0, size=(q, m)) * 10.0 ** rng.integers(-160, 160, size=(q, m))
+    right[rng.random(size=(q, m)) < 0.5] = 0.0
+    if kind == "zero-columns":
+        right[:, rng.random(size=m) < 0.5] = 0.0
+    elif kind == "clipped":  # an estimate with its diagonal clipped to 0
+        np.fill_diagonal(right, 0.0)
+    return left, right
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["sparse", "zero-columns", "clipped"]),
+    seed=st.integers(0, 10_000),
+    n=st.one_of(st.integers(1, 300), st.integers(16_380, 16_400)),
+    q=st.integers(1, 12),
+    m=st.integers(1, 12),
+)
+def test_max_times_product_equals_dense_reference(kind, seed, n, q, m):
+    left, right = _sparse_factors(kind, seed, n, q, m)
+    with np.errstate(over="ignore", under="ignore"):
+        got = kern.max_times_product(left, right)
+        want = dense_max_times_product(left, right)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,12 @@ from maxlinear import (
     rescaled_max_scaling,
     simulate,
     standardize,
+    ten_node_model,
 )
+from maxlinear.model import SIMULATION_BLOCK, _frechet2_block
 
 from reference import (
+    dense_max_times_product,
     naive_max_scaling,
     naive_rescaled_max_scaling,
 )
@@ -108,11 +111,20 @@ def test_simulate_frozen_regression(two_node_model):
     assert np.allclose(got, want, atol=1e-8)
 
 
-def test_simulate_worker_count_invariant(two_node_model):
-    assert np.array_equal(
-        simulate(two_node_model, 3, 1000, workers=1),
-        simulate(two_node_model, 3, 1000, workers=4),
-    )
+def test_simulate_worker_count_invariant():
+    # three blocks, the last one short, so workers=2 runs the thread pool
+    coef = ten_node_model()
+    n = 2 * SIMULATION_BLOCK + 5
+    serial = simulate(coef, 3, n, workers=1)
+    assert np.array_equal(serial, simulate(coef, 3, n, workers=2))
+    # and block by block, the dense product of the same innovations
+    children = np.random.SeedSequence(3).spawn(3)
+    at = np.ascontiguousarray(coef.T)
+    for b, child in enumerate(children):
+        rows = slice(b * SIMULATION_BLOCK, min((b + 1) * SIMULATION_BLOCK, n))
+        rng = np.random.Generator(np.random.Philox(child))
+        z = _frechet2_block(rng, rows.stop - rows.start, 10)
+        assert np.array_equal(serial[rows], dense_max_times_product(z, at))
 
 
 def test_simulate_prefix_stable_within_block(two_node_model):

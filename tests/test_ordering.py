@@ -150,19 +150,18 @@ def test_mle_pass_scalings_equal_per_subset_fits(kind, data, d, n, factor):
     x = data.draw(hnp.arrays(np.float64, (n, d), elements=_ELEMENTS[kind]))
     order = data.draw(st.permutations(range(1, d + 1)))
     for head in {(), tuple(order[: d // 2]), tuple(order[: d - 1])}:
-        # a fresh provider per path: the pass fills the per-subset caches
-        per_subset = FrechetMleScalings(x)
+
+        def per_subset():
+            # a fresh provider per path: the pass fills the per-subset caches
+            prov = FrechetMleScalings(x)
+            return {
+                m: (prov.max_scaling((*head, m)), prov.rescaled_scaling(head, m, factor))
+                for m in range(1, d + 1)
+                if m not in head
+            }
+
         with np.errstate(over="ignore"):  # m**-2 of a tiny maximum, on both paths
-            want = _outcome(
-                lambda: {
-                    m: (
-                        per_subset.max_scaling((*head, m)),
-                        per_subset.rescaled_scaling(head, m, factor),
-                    )
-                    for m in range(1, d + 1)
-                    if m not in head
-                }
-            )
+            want = _outcome(per_subset)
             got = _outcome(lambda: FrechetMleScalings(x).pass_scalings(head, factor))
         assert got == want
 

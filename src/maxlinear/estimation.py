@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -65,6 +66,8 @@ class PolarSample:
     the original observation order of the remaining rows.  The
     exceedance set is every row with radius >= ``threshold_value`` (the
     k-th largest radius), which on ties can hold more than k rows.
+    ``exceedance_squares`` holds their squared angles, computed on first
+    use and kept, so every estimate read off one decomposition shares them.
     """
 
     radii: np.ndarray
@@ -80,6 +83,10 @@ class PolarSample:
     @property
     def n_exceedances(self) -> int:
         return int(np.count_nonzero(self.exceedance_mask))
+
+    @cached_property
+    def exceedance_squares(self) -> np.ndarray:
+        return self.angles[self.exceedance_mask] ** 2
 
 
 def polar_decompose(x: np.ndarray, cols: Sequence[int], k: int) -> PolarSample:
@@ -135,7 +142,7 @@ def scaling_from_polar(polar: PolarSample, over: Sequence[int] | None = None) ->
     if missing:
         raise ValidationError(f"columns {sorted(missing)} not in subset {polar.subset}")
     pos = [polar.subset.index(c) for c in cols]
-    w2 = polar.angles[polar.exceedance_mask][:, pos] ** 2
+    w2 = polar.exceedance_squares[:, pos]
     return float(len(polar.subset) / polar.threshold_count * w2.max(axis=1).sum())
 
 
@@ -225,20 +232,37 @@ def empirical_frechet_transform(x: np.ndarray) -> np.ndarray:
     below it (ties share a value; no jittering).  The column maximum
     maps to ``(-log(n/(n+1)))^(-1/2)``, about ``sqrt(n)``.
 
+    The n possible values are computed once per call as a quantile table
+    whose entry ``r - 1`` is the value of rank r.  Each column then costs
+    one ``argsort`` and O(n) indexing: in the sorted copy a tie run is
+    contiguous, and the rank of each of its members is the 1-based index
+    of its last entry, since exactly the entries up to there are ``<=``
+    it.  Every member of a run gets the same rank, so the result does not
+    depend on how ``argsort`` orders equal keys; ``-0.0`` and ``+0.0``
+    compare equal and share one run.  The ranks are the integers a
+    binary search of each value into the sorted column returns, and the
+    table entry is the same IEEE expression on the same integer, so the
+    output is bit-identical to evaluating the formula entry by entry.
+
     Raises:
         ThresholdError: a column is constant, so it carries no tail
             information (all of it would map to that maximum value).
     """
     a = _as_sample(x)
     n = a.shape[0]
+    table = (-np.log(np.arange(1, n + 1) / (n + 1.0))) ** -0.5
     out = np.empty_like(a)
+    run_end = np.empty(n, dtype=bool)
+    run_end[-1] = True
     for c in range(a.shape[1]):
         col = a[:, c]
-        order = np.sort(col)
-        if order[0] == order[-1]:
+        order = np.argsort(col)
+        s = col[order]
+        if s[0] == s[-1]:
             raise ThresholdError(
                 f"column {c + 1} is constant and carries no tail information"
             )
-        ranks = np.searchsorted(order, col, side="right")
-        out[:, c] = (-np.log(ranks / (n + 1.0))) ** -0.5
+        np.not_equal(s[1:], s[:-1], out=run_end[:-1])
+        ends = np.flatnonzero(run_end)
+        out[order, c] = np.repeat(table[ends], np.diff(ends, prepend=-1))
     return out

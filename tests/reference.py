@@ -2,9 +2,10 @@
 
 Everything here is written with plain Python loops and explicit formulas,
 deliberately ignoring the package's own vectorized/kernel code paths, so a
-disagreement points at exactly one side.  The two exceptions,
-``rowmajor_scaling_sum`` and ``dense_max_times_product``, are the
-straightforward numpy forms of kernels that must match them bit for
+disagreement points at exactly one side.  The exceptions,
+``rowmajor_scaling_sum``, ``dense_max_times_product``,
+``searchsorted_frechet_transform`` and ``masked_polar_scaling``, are the
+straightforward numpy forms of code paths that must match them bit for
 bit.
 """
 
@@ -13,6 +14,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from maxlinear.errors import ThresholdError
 
 
 def naive_ancestors(edges: list[tuple[int, int]], node: int) -> set[int]:
@@ -148,6 +151,37 @@ def naive_rank_transform(column: list[float]) -> list[float]:
         rank = sum(1 for u in column if u <= v)
         out.append((-math.log(rank / (n + 1))) ** -0.5)
     return out
+
+
+def searchsorted_frechet_transform(x: np.ndarray) -> np.ndarray:
+    """``estimation.empirical_frechet_transform`` as one sorted copy per
+    column, a binary search of every unsorted entry into it for its rank,
+    and the formula evaluated for every entry.  Not a plain loop: this is
+    the bit-level oracle for the argsort and quantile-table form, and it
+    raises the same error on the same first constant column."""
+    a = np.asarray(x, dtype=np.float64)
+    n = a.shape[0]
+    out = np.empty_like(a)
+    for c in range(a.shape[1]):
+        col = a[:, c]
+        order = np.sort(col)
+        if order[0] == order[-1]:
+            raise ThresholdError(
+                f"column {c + 1} is constant and carries no tail information"
+            )
+        ranks = np.searchsorted(order, col, side="right")
+        out[:, c] = (-np.log(ranks / (n + 1.0))) ** -0.5
+    return out
+
+
+def masked_polar_scaling(polar, over: list[int]) -> float:
+    """``estimation.scaling_from_polar`` with the exceedance mask, the
+    angle selection and the squares all recomputed on every call.  Not a
+    plain loop: this is the bit-level oracle for the squares a
+    ``PolarSample`` computes once and shares."""
+    pos = [polar.subset.index(c) for c in over]
+    w2 = polar.angles[polar.exceedance_mask][:, pos] ** 2
+    return float(len(polar.subset) / polar.threshold_count * w2.max(axis=1).sum())
 
 
 def naive_covariance_entry(

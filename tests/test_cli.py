@@ -459,6 +459,40 @@ def test_zero_column_is_threshold_error(tmp_path, scalings, transform, fill, mes
     assert not (out / "report.json").exists()
 
 
+def _degenerate_sample(kind: str) -> np.ndarray:
+    z = np.random.default_rng(0).standard_exponential((2000, 3)) ** -0.5
+    if kind == "duplicate-column":
+        z[:, 2] = z[:, 0]
+        return z
+    if kind == "tied":
+        return np.round(z, 0)
+    if kind == "d1":
+        return z[:, :1]
+    return z[: int(kind.removeprefix("n"))]  # n2, n5
+
+
+@pytest.mark.parametrize("transform", ["frechet", "none"])
+@pytest.mark.parametrize("scalings", ["mle", "spectral"])
+@pytest.mark.parametrize("kind", ["duplicate-column", "tied", "d1", "n2", "n5"])
+def test_degenerate_inputs_exit_cleanly(tmp_path, kind, scalings, transform, capsys):
+    # each degenerate input either yields a finite model or ends in a
+    # one-line typed error with exit code 3, never a traceback or NaN
+    data = tmp_path / "sample.csv"
+    write_sample_csv(_degenerate_sample(kind), data)
+    out = tmp_path / "x"
+    argv = ["learn", "--out", str(out), "--data", str(data)]
+    rc = main([*argv, "--scalings", scalings, "--transform", transform])
+    err = capsys.readouterr().err
+    assert rc in (0, 3)
+    if rc == 0:
+        report = json.loads((out / "report.json").read_text())
+        for key in ("coefficients_learned_frame", "coefficients_original_frame"):
+            assert np.all(np.isfinite(np.array(report[key], dtype=float)))
+    else:
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+
+
 def test_zero_tolerances_find_no_initial_node(tmp_path, sim_dir):
     rc = main(
         [

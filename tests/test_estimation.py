@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maxlinear import (
@@ -29,6 +29,7 @@ from reference import (
     naive_frechet_mle,
     naive_polar_scaling,
     naive_rank_transform,
+    searchsorted_frechet_transform,
 )
 
 # ---------------------------------------------------------------------------
@@ -238,6 +239,45 @@ def test_rank_transform_matches_naive_and_max_literal():
     long_col = np.arange(1, 2286, dtype=float).reshape(-1, 1)
     out = empirical_frechet_transform(long_col)
     assert float(out.max()) == pytest.approx(47.80690288586145, rel=1e-12)
+
+
+def _rank_sample(kind: str, seed: int, n: int, d: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    x = rng.standard_exponential((n, d)) ** -0.5
+    if kind == "rounded":  # few distinct values, long tie runs
+        x = np.round(x, 0)
+    elif kind == "tie-ends":  # tie runs at each column's minimum and maximum
+        lo, hi = x.min(axis=0), x.max(axis=0)
+        x = np.where(rng.random((n, d)) < 0.25, lo, x)
+        x = np.where(rng.random((n, d)) < 0.25, hi, x)
+    elif kind == "signed":  # -0.0 beside +0.0, negatives, subnormals
+        pool = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e-310, -2.5, 1.0, -1e300])
+        x = np.where(rng.random((n, d)) < 0.6, rng.choice(pool, size=(n, d)), -x)
+    elif kind == "constant":  # some columns tied throughout
+        x[:, rng.random(d) < 0.3] = rng.choice([-0.0, 0.0, 1.5])
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["draw", "rounded", "tie-ends", "signed", "constant"]),
+    seed=st.integers(0, 10_000),
+    n=st.integers(2, 300),
+    d=st.integers(1, 12),
+)
+@example(kind="draw", seed=0, n=10_000, d=10)
+@example(kind="rounded", seed=1, n=10_000, d=10)
+def test_rank_transform_equals_searchsorted_reference(kind, seed, n, d):
+    x = _rank_sample(kind, seed, n, d)
+    try:
+        want = searchsorted_frechet_transform(x)
+    except ThresholdError as exc:
+        with pytest.raises(ThresholdError) as info:
+            empirical_frechet_transform(x)
+        assert str(info.value) == str(exc)  # the same first constant column
+        return
+    got = empirical_frechet_transform(x)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_rank_transform_monotone_and_tie_stable():

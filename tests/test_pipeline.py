@@ -13,14 +13,17 @@ from maxlinear import (
     ExactScalings,
     FrechetMleScalings,
     ValidationError,
+    empirical_frechet_transform,
     estimate_max_scaling,
     index_pairs,
     path_coefficients,
+    polar_decompose,
     random_standardized_model,
     random_weights,
     scaling_vector,
     simulate,
     standardize,
+    subset_at,
     ten_node_model,
 )
 from maxlinear.fileio import (
@@ -42,6 +45,8 @@ from maxlinear.pipeline import (
     scaling_vector_from_provider,
     shared_polar_scaling_vector,
 )
+
+from reference import masked_polar_scaling
 
 
 def _complete_dag_model(d: int, seed: int) -> np.ndarray:
@@ -252,6 +257,24 @@ def test_shared_polar_scaling_vector_matches_direct_estimates(two_node_model):
     # shared-threshold entries are internally consistent: the full-set
     # scaling dominates each subset scaling read off the same exceedances
     assert got[0] >= max(got[1], got[2]) - 1e-12
+
+
+@pytest.mark.parametrize("sample", ["frechet", "tied-radii"])
+def test_shared_polar_scaling_vector_equals_per_call_squares(preset_model, sample):
+    x = empirical_frechet_transform(simulate(preset_model, 3, 5000))
+    if sample == "tied-radii":
+        # every row twice: the 71st largest radius ties the 72nd, so the
+        # exceedance set holds more than k rows
+        x = np.vstack([x, x])
+    labels = [10, 8, 9, 5, 6, 7, 1, 2, 3, 4]
+    got = shared_polar_scaling_vector(x, labels, k=71)
+    polar = polar_decompose(x, tuple(range(1, 11)), 71)
+    assert polar.n_exceedances == (72 if sample == "tied-radii" else 71)
+    want = [
+        masked_polar_scaling(polar, [labels[q - 1] for q in subset_at(i, j, 10)])
+        for i, j in index_pairs(10)
+    ]
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 # ---------------------------------------------------------------------------

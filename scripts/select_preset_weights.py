@@ -29,6 +29,7 @@ import numpy as np
 from maxlinear import (
     ExactScalings,
     ReorderConfig,
+    SpectralScalings,
     coefficients_from_squares,
     learn_generations,
     learn_order,
@@ -40,7 +41,7 @@ from maxlinear import (
 )
 from maxlinear.dag import path_coefficients
 from maxlinear.estimation import empirical_frechet_transform
-from maxlinear.ordering import _generation_deltas, _initial_deltas
+from maxlinear.ordering import _pass_deltas
 from maxlinear.pipeline import _relabel_to_original, shared_polar_scaling_vector
 
 SIM = ReorderConfig.simulation_preset()
@@ -80,7 +81,7 @@ def exact_margins(coef: np.ndarray) -> dict[str, float]:
     provider = ExactScalings(coef)
     out: dict[str, float] = {}
 
-    init = _initial_deltas(provider, SIM)
+    init, _ = _pass_deltas(provider, (), SIM)
     for m, val in init.items():
         assert abs(val - brute_initial_delta(a2, m, SIM.a)) < 1e-10
     out["sim_initial_reject"] = min(-init[m] for m in range(1, d + 1) if m != 10)
@@ -92,7 +93,7 @@ def exact_margins(coef: np.ndarray) -> dict[str, float]:
     for gen in GENERATIONS[:-1]:
         prefix = tuple(sorted((*prefix, *gen)))
         rest = [m for m in range(1, d + 1) if m not in prefix]
-        deltas = _generation_deltas(provider, prefix, SIM)
+        deltas, _ = _pass_deltas(provider, prefix, SIM)
         for m in rest:
             assert abs(deltas[m] - brute_generation_delta(a2, prefix, m, SIM.a)) < 1e-10
         eligible = {m for m in rest if set(dag.ancestors(m)) <= set(prefix)}
@@ -149,7 +150,7 @@ def end_to_end_success(
     for seed in range(seeds):
         x = empirical_frechet_transform(simulate(coef, seed, n))
         try:
-            result = learn_order(x, DATA, k=k)
+            result = learn_order(SpectralScalings(x, k), DATA)
         except Exception:
             continue
         disc = result.discovery

@@ -10,11 +10,11 @@ order-learning sweeps:
   rows with an O(n) sum per column and re-sum row-major only the thin
   band of rows that can reach the threshold,
 * row maxima of column-scaled samples feeding inverse-square means
-  (Frechet maximum-likelihood scalings): one weighted subset at a time
-  (``scaled_rowmax_invsq_mean``), or every candidate of one ordering
-  pass at once (``rowmax_pass_invsq_means``), which reuses the row
-  maxima of the head and of the whole sample so that each candidate
-  costs O(n) instead of O(n d).
+  (Frechet maximum-likelihood scalings): every candidate of one
+  ordering pass at once (``rowmax_pass_invsq_means``), which reuses the
+  row maxima of the head and of the whole sample so that each candidate
+  costs O(n) instead of O(n d); ``scaled_rowmax_invsq_mean``, one
+  weighted subset at a time, is the reference it is tested against.
 
 Callers reach each kernel through this module (``_kernels.<name>``)
 rather than importing the function, so there is one place to replace or
@@ -154,12 +154,13 @@ def scaled_rowmax_invsq_mean(x: np.ndarray, w: np.ndarray) -> float:
 
 
 def rowmax_pass_invsq_means(
-    cols: np.ndarray, head: Sequence[int], factor: float
+    cols: np.ndarray, head: Sequence[int], factor: float, top: np.ndarray
 ) -> dict[int, tuple[float, float]]:
     """Both inverse-square means of every candidate of one ordering pass.
 
     ``cols`` is a finite (d, n) sample stored column by column, ``head``
-    holds 0-based column indices and ``factor`` exceeds 1.  For each
+    holds 0-based column indices, ``factor`` exceeds 1 and ``top`` is
+    the row maximum over all columns, ``cols.max(axis=0)``.  For each
     column m outside the head the result maps m to ``(group,
     rescaled)``: the values ``scaled_rowmax_invsq_mean`` returns for the
     weights that are 1 on head ∪ {m} and 0 elsewhere, and for the weights
@@ -168,7 +169,7 @@ def rowmax_pass_invsq_means(
 
     The row maxima are assembled instead of recomputed:
     ``g = max(H, x_m)``, with ``H`` the head's row maximum, and
-    ``max(factor * g, M)``, with ``M`` the row maximum over all columns.
+    ``max(factor * g, M)``, with ``M = top``.
     Both are bit-identical to the weighted maxima:
 
     * ``max`` is exact and rounding is monotone, so
@@ -181,7 +182,6 @@ def rowmax_pass_invsq_means(
     """
     in_head = set(head)
     hmax = cols[list(head)].max(axis=0) if head else np.full(cols.shape[1], -np.inf)
-    top = cols.max(axis=0)
     out: dict[int, tuple[float, float]] = {}
     for m in range(cols.shape[0]):
         if m not in in_head:

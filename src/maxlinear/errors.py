@@ -24,8 +24,9 @@ class CyclicGraphError(ValidationError):
 class ThresholdError(MaxLinearError):
     """A tail-based estimate cannot be formed from the data, e.g. fewer
     positive radii than the requested number of upper order statistics,
-    or a non-positive row maximum in the Fréchet maximum-likelihood
-    scaling estimate."""
+    a non-positive row maximum in the Fréchet maximum-likelihood
+    scaling estimate, or data out of floating-point range, which would
+    make an estimate non-finite."""
 
 
 class NoInitialNodeError(MaxLinearError):

@@ -155,6 +155,8 @@ def _max_scaling_of_squares(
         raise ThresholdError(
             f"only {n_pos} rows with positive radius on columns {subset}, need k={k}"
         )
+    if not math.isfinite(acc):
+        raise ThresholdError(f"squared radii on columns {subset} overflow")
     return len(subset) / k * acc
 
 
@@ -168,6 +170,8 @@ def _rescaled_scaling_of_squares(
         raise ThresholdError(
             f"only {n_pos} rows with positive radius on rescaled columns, need k={k}"
         )
+    if not math.isfinite(acc):
+        raise ThresholdError("squared radii on rescaled columns overflow")
     mass = (factor**2 - 1.0) * n_inflated + len(sq)
     return mass / k * acc
 

@@ -17,6 +17,7 @@ and ordering modules recover from data.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Sequence
 
@@ -157,8 +158,10 @@ def _check_nodes(nodes: Iterable[int], d: int) -> tuple[int, ...]:
 
 
 def _check_factor(factor: float) -> None:
-    if not factor > 1.0:
-        raise ValidationError(f"inflation factor a must exceed 1, got {factor}")
+    if not (factor > 1.0 and math.isfinite(factor * factor)):
+        raise ValidationError(
+            f"inflation factor a must exceed 1 and have a finite square, got {factor}"
+        )
 
 
 def _inflated_nodes(

@@ -27,20 +27,22 @@ and two step policies:
 Scalings are supplied by a provider object so the loop runs
 identically on exact model scalings (``ExactScalings``) and on data
 estimates (``SpectralScalings`` for the angular estimators,
-``FrechetMleScalings`` for the parametric ones).  Each pass makes one
-provider call, ``pass_scalings(ordered, factor)``, which returns for
-every unordered candidate m the scaling of head ∪ {m} and the scaling
-of the maximum with that group inflated.  ``FrechetMleScalings``
-answers it in one sweep over the sample, O(n) per candidate;
-``SpectralScalings`` from squared columns it caches once, so each
-estimate of a pass, and of the pairwise screen, is one banded row sum
-(``_kernels.scaling_sum``); ``ExactScalings`` asks its per-subset
-methods.
+``FrechetMleScalings`` for the parametric ones).  Each pass subtracts
+``all_node_scaling()`` and makes one call, ``pass_scalings(ordered,
+factor)``, which returns for every unordered candidate m the scaling of
+head ∪ {m} and the scaling of the maximum with that group inflated.
+``FrechetMleScalings`` answers it in one sweep over the sample, O(n) per
+candidate; ``SpectralScalings`` from squared columns it caches once, so
+each estimate is one banded row sum (``_kernels.scaling_sum``).  Each
+``DeltaPass`` keeps its answer, which is where the scaling vector is
+read from.  No pass calls the per-subset methods ``max_scaling`` and
+``rescaled_scaling``; they are the references the tests hold it to.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Protocol, Sequence
 
@@ -90,8 +92,8 @@ class ReorderConfig:
 
     def __post_init__(self) -> None:
         _check_factor(self.a)
-        if min(self.eps1, self.eps2, self.eps3) < 0.0:
-            raise ValidationError("tolerances must be non-negative")
+        if not all(0.0 <= e < math.inf for e in (self.eps1, self.eps2, self.eps3)):
+            raise ValidationError("tolerances must be finite and non-negative")
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
 
@@ -107,16 +109,17 @@ class ReorderConfig:
 class ScalingProvider(Protocol):
     """Source of squared scalings over node subsets, exact or estimated.
 
-    ``pass_scalings(ordered, factor)`` maps every node m outside
-    ``ordered`` to ``(max_scaling((*ordered, m)), r)``, where r is the
-    squared scaling of the maximum of all components with ``ordered``
-    and m inflated by ``factor``.
+    ``all_node_scaling()`` is the squared scaling of the maximum of all
+    components.  ``pass_scalings(ordered, factor)`` maps every node m
+    outside ``ordered`` to ``(g, r)``: g is the squared scaling of the
+    maximum over ``ordered`` and m, and r that of the maximum of all
+    components with ``ordered`` and m inflated by ``factor``.
     """
 
     @property
     def node_count(self) -> int: ...
 
-    def max_scaling(self, nodes: Sequence[int]) -> float: ...
+    def all_node_scaling(self) -> float: ...
 
     def pass_scalings(
         self, ordered: Sequence[int], factor: float
@@ -139,12 +142,15 @@ class ExactScalings:
     def rescaled_scaling(self, ordered: Sequence[int], node: int, factor: float) -> float:
         return rescaled_max_scaling(self._coef, ordered, node, factor)
 
+    def all_node_scaling(self) -> float:
+        return max_scaling(self._coef, _all_nodes(self.node_count))
+
     def pass_scalings(
         self, ordered: Sequence[int], factor: float
     ) -> dict[int, tuple[float, float]]:
-        hs = tuple(ordered)
+        hs, c = tuple(ordered), self._coef
         return {
-            m: (self.max_scaling((*hs, m)), self.rescaled_scaling(hs, m, factor))
+            m: (max_scaling(c, (*hs, m)), rescaled_max_scaling(c, hs, m, factor))
             for m in _all_nodes(self.node_count)
             if m not in hs
         }
@@ -166,14 +172,13 @@ def _varying_columns(x: np.ndarray) -> np.ndarray:
 class SpectralScalings:
     """Angular-measure estimates from one sample with a fixed threshold.
 
-    Subset estimates are memoized; two queries of the same subset hit
-    the same exceedance rows, which keeps the deltas of one pass on a
-    common footing.  The sample is validated once and its squares are
-    held column by column, with the squares of the inflated columns for
-    each factor a pass has used.  ``pass_scalings`` and ``pair_scalings``
-    hand views of these columns to ``_kernels.scaling_sum`` and cache
-    their results under the keys of the per-subset methods, which keep
-    going through the public estimators ``estimate_max_scaling`` and
+    The sample is validated once and its squares are held column by
+    column, with the squares of the inflated columns for each factor a
+    pass has used.  ``pass_scalings`` and ``pair_scalings`` hand views of
+    these columns to ``_kernels.scaling_sum``.  Group estimates are
+    memoized: the pairwise screen reads each plain pair twice and every
+    pass the all-node scaling.  The per-subset methods go through the
+    public estimators ``estimate_max_scaling`` and
     ``estimate_rescaled_max_scaling``; both paths give the same bits.
 
     Raises:
@@ -187,8 +192,7 @@ class SpectralScalings:
         self._k = int(k)
         self._sq = self._cols * self._cols
         self._inflated_sq: dict[float, np.ndarray] = {}
-        self._max_cache: dict[frozenset[int], float] = {}
-        self._resc_cache: dict[tuple[frozenset[int], int, float], float] = {}
+        self._groups: dict[frozenset[int], float] = {}
 
     @property
     def node_count(self) -> int:
@@ -199,18 +203,12 @@ class SpectralScalings:
         return self._k
 
     def max_scaling(self, nodes: Sequence[int]) -> float:
-        key = frozenset(int(v) for v in nodes)
-        if key not in self._max_cache:
-            self._max_cache[key] = estimate_max_scaling(self._cols.T, sorted(key), self._k)
-        return self._max_cache[key]
+        return estimate_max_scaling(self._cols.T, sorted(nodes), self._k)
 
     def rescaled_scaling(self, ordered: Sequence[int], node: int, factor: float) -> float:
-        key = (frozenset(int(v) for v in ordered), int(node), float(factor))
-        if key not in self._resc_cache:
-            self._resc_cache[key] = estimate_rescaled_max_scaling(
-                self._cols.T, sorted(key[0]), node, factor, self._k
-            )
-        return self._resc_cache[key]
+        return estimate_rescaled_max_scaling(
+            self._cols.T, sorted(ordered), node, factor, self._k
+        )
 
     def _inflated(self, factor: float) -> np.ndarray:
         if factor not in self._inflated_sq:
@@ -220,11 +218,14 @@ class SpectralScalings:
         return self._inflated_sq[factor]
 
     def _group(self, key: frozenset[int]) -> float:
-        if key not in self._max_cache:
+        if key not in self._groups:
             subset = tuple(sorted(key))
             sq = [self._sq[v - 1] for v in subset]
-            self._max_cache[key] = _max_scaling_of_squares(sq, subset, self._k)
-        return self._max_cache[key]
+            self._groups[key] = _max_scaling_of_squares(sq, subset, self._k)
+        return self._groups[key]
+
+    def all_node_scaling(self) -> float:
+        return self._group(frozenset(_all_nodes(self.node_count)))
 
     def pass_scalings(
         self, ordered: Sequence[int], factor: float
@@ -232,9 +233,6 @@ class SpectralScalings:
         factor = float(factor)
         inflated = self._inflated(factor)
         d = self.node_count
-        # the all-node scaling first: every delta subtracts it, so the
-        # loop reads it back from the cache
-        self._group(frozenset(_all_nodes(d)))
         hs = frozenset(int(v) for v in ordered)
         out: dict[int, tuple[float, float]] = {}
         for m in _all_nodes(d):
@@ -242,13 +240,8 @@ class SpectralScalings:
                 continue
             grown = hs | {m}
             group = self._group(grown)
-            key = (hs, m, factor)
-            if key not in self._resc_cache:
-                sq = [inflated[j] if j + 1 in grown else self._sq[j] for j in range(d)]
-                self._resc_cache[key] = _rescaled_scaling_of_squares(
-                    sq, len(grown), factor, self._k
-                )
-            out[m] = (group, self._resc_cache[key])
+            sq = [inflated[j] if j + 1 in grown else self._sq[j] for j in range(d)]
+            out[m] = (group, _rescaled_scaling_of_squares(sq, len(grown), factor, self._k))
         return out
 
     def pair_scalings(self, i: int, m: int, factor: float) -> tuple[float, float]:
@@ -267,21 +260,21 @@ class FrechetMleScalings:
     Used by the simulation-study harness and by default in ``learn`` on
     data; unlike the angular estimates these use every observation, not
     only the radial exceedances.  The sample must be finite.  It is held
-    column by column, so that ``pass_scalings`` can fit all candidates of
-    a pass in one sweep (``_kernels.rowmax_pass_invsq_means``); its
-    results are cached under the same keys as the per-subset methods,
-    which then answer the scaling vector's nested subsets from the cache.
+    column by column with its row maximum, which is fitted once for the
+    all-node scaling, so that ``pass_scalings`` can fit all candidates of
+    a pass in one sweep (``_kernels.rowmax_pass_invsq_means``).
 
     Raises:
         ValidationError: the sample is not a non-empty, finite 2-D matrix.
         ThresholdError: a column is constant (all zero included), so
-            no fit that involves it carries tail information.
+            no fit that involves it carries tail information, or the
+            all-node fit is not finite.
     """
 
     def __init__(self, x: np.ndarray) -> None:
         self._cols = _varying_columns(x)
-        self._max_cache: dict[frozenset[int], float] = {}
-        self._resc_cache: dict[tuple[frozenset[int], int, float], float] = {}
+        self._top = self._cols.max(axis=0)
+        self._all_node = self._fit(_kernels._invsq_mean(self._top))
 
     @property
     def node_count(self) -> int:
@@ -289,42 +282,39 @@ class FrechetMleScalings:
 
     @staticmethod
     def _fit(mean: float) -> float:
-        if not np.isfinite(mean):
-            raise ThresholdError("row maxima must be strictly positive for the MLE")
+        # nan marks a non-positive row maximum; 1 / mean must be finite
+        if not sys.float_info.min <= mean < math.inf:
+            what = "strictly positive" if math.isnan(mean) else "in floating-point range"
+            raise ThresholdError(f"row maxima must be {what} for the MLE")
         return float(1.0 / mean)
 
     def _mle(self, weights: np.ndarray) -> float:
         return self._fit(_kernels.scaled_rowmax_invsq_mean(self._cols.T, weights))
 
     def max_scaling(self, nodes: Sequence[int]) -> float:
-        key = frozenset(int(v) for v in nodes)
-        if key not in self._max_cache:
-            w = np.zeros(self.node_count)
-            w[[v - 1 for v in key]] = 1.0
-            self._max_cache[key] = self._mle(w)
-        return self._max_cache[key]
+        w = np.zeros(self.node_count)
+        w[[v - 1 for v in nodes]] = 1.0
+        return self._mle(w)
 
     def rescaled_scaling(self, ordered: Sequence[int], node: int, factor: float) -> float:
-        key = (frozenset(int(v) for v in ordered), int(node), float(factor))
-        if key not in self._resc_cache:
-            w = np.ones(self.node_count)
-            w[[v - 1 for v in (*key[0], node)]] = factor
-            self._resc_cache[key] = self._mle(w)
-        return self._resc_cache[key]
+        w = np.ones(self.node_count)
+        w[[v - 1 for v in (*ordered, node)]] = factor
+        return self._mle(w)
+
+    def all_node_scaling(self) -> float:
+        return self._all_node
 
     def pass_scalings(
         self, ordered: Sequence[int], factor: float
     ) -> dict[int, tuple[float, float]]:
         factor = float(factor)
         _check_factor(factor)
-        hs = frozenset(int(v) for v in ordered)
-        means = _kernels.rowmax_pass_invsq_means(self._cols, sorted(v - 1 for v in hs), factor)
-        out: dict[int, tuple[float, float]] = {}
-        for j, (group, rescaled) in means.items():
-            m = j + 1
-            out[m] = (self._fit(group), self._fit(rescaled))
-            self._max_cache[hs | {m}], self._resc_cache[(hs, m, factor)] = out[m]
-        return out
+        head = [int(v) - 1 for v in ordered]
+        means = _kernels.rowmax_pass_invsq_means(self._cols, head, factor, self._top)
+        return {
+            j + 1: (self._fit(group), self._fit(rescaled))
+            for j, (group, rescaled) in means.items()
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -335,25 +325,21 @@ def _all_nodes(d: int) -> tuple[int, ...]:
     return tuple(range(1, d + 1))
 
 
-def _initial_deltas(provider: ScalingProvider, cfg: ReorderConfig) -> dict[int, float]:
-    # a standardized model has unit singleton scalings, so the offset
-    # stands in for the group scaling
-    scalings = provider.pass_scalings((), cfg.a)
-    base = provider.max_scaling(_all_nodes(provider.node_count))
-    offset = cfg.a**2 - 1.0
-    return {m: rescaled - base - offset for m, (_, rescaled) in scalings.items()}
-
-
-def _generation_deltas(
+def _pass_deltas(
     provider: ScalingProvider, ordered: Sequence[int], cfg: ReorderConfig
-) -> dict[int, float]:
-    # the pass goes first, since a provider may cache the base on the way
+) -> tuple[dict[int, float], dict[int, tuple[float, float]]]:
+    """The deltas of the pass with head ``ordered``, and the provider's
+    answer they come from."""
+    base = provider.all_node_scaling()
     scalings = provider.pass_scalings(ordered, cfg.a)
-    base = provider.max_scaling(_all_nodes(provider.node_count))
-    return {
-        m: rescaled - base - (cfg.a**2 - 1.0) * group
+    offset = cfg.a**2 - 1.0
+    # a standardized model has unit singleton scalings, so in the initial
+    # pass (empty head) the offset stands in for the group scaling
+    deltas = {
+        m: rescaled - base - (offset * group if ordered else offset)
         for m, (group, rescaled) in scalings.items()
     }
+    return deltas, scalings
 
 
 def _pairwise_delta_bounds(
@@ -387,13 +373,16 @@ class DeltaPass:
 
     ``deltas`` maps each candidate to its (min, max) delta; the two
     coincide except in the pairwise pass, where they summarize the
-    sweep over partners.
+    sweep over partners.  ``scalings`` is the provider's answer for the
+    pass, ``pass_scalings(ordered_before, a)``; the pairwise pass leaves
+    it empty.
     """
 
     kind: str  # "initial" | "initial-pairwise" | "generation" | "argmax"
     ordered_before: tuple[int, ...]
     deltas: Mapping[int, tuple[float, float]]
     accepted: tuple[int, ...]
+    scalings: Mapping[int, tuple[float, float]]
 
 
 @dataclass(frozen=True)
@@ -440,9 +429,9 @@ def _threshold_pass(provider: ScalingProvider, cfg: ReorderConfig) -> DeltaPass:
     Exact scalings put parentless nodes at delta zero and all others
     strictly below; the band absorbs estimation noise.
     """
-    deltas = _initial_deltas(provider, cfg)
+    deltas, scalings = _pass_deltas(provider, (), cfg)
     accepted = sorted(m for m, v in deltas.items() if -cfg.eps2 <= v <= cfg.eps1)
-    return DeltaPass("initial", (), _single(deltas), tuple(accepted))
+    return DeltaPass("initial", (), _single(deltas), tuple(accepted), scalings)
 
 
 def _pairwise_pass(provider: SpectralScalings, cfg: ReorderConfig) -> DeltaPass:
@@ -456,7 +445,7 @@ def _pairwise_pass(provider: SpectralScalings, cfg: ReorderConfig) -> DeltaPass:
     accepted = sorted(
         m for m, (lo, hi) in bounds.items() if hi <= cfg.eps1 and lo >= -cfg.eps2
     )
-    return DeltaPass("initial-pairwise", (), bounds, tuple(accepted))
+    return DeltaPass("initial-pairwise", (), bounds, tuple(accepted), {})
 
 
 def _argmax_node(deltas: Mapping[int, float]) -> int:
@@ -492,12 +481,12 @@ def _discover(
     generations = [first.accepted]
 
     while len(discovery) < provider.node_count:
-        deltas = _generation_deltas(provider, discovery, cfg)
+        deltas, scalings = _pass_deltas(provider, discovery, cfg)
         if step == "argmax":
             accepted = (_argmax_node(deltas),)
         else:
             accepted = tuple(sorted(m for m, v in deltas.items() if abs(v) <= cfg.eps3))
-        passes.append(DeltaPass(step, tuple(discovery), _single(deltas), accepted))
+        passes.append(DeltaPass(step, tuple(discovery), _single(deltas), accepted, scalings))
         if not accepted:
             if strict:
                 raise EmptyGenerationError(
@@ -532,24 +521,21 @@ def learn_generations(
     return _discover(provider, first, cfg, "generation", strict)
 
 
-def learn_order(
-    x: np.ndarray | ScalingProvider, cfg: ReorderConfig, k: int | None = None
-) -> LearnResult:
-    """One-node-at-a-time ordering of a full sample.
+def learn_order(provider: ScalingProvider, cfg: ReorderConfig) -> LearnResult:
+    """One-node-at-a-time ordering: an initial pass, then repeated argmax
+    steps on the provider's scalings.
 
-    On a sample: pairwise initial-node screen, then repeated argmax
-    steps with the angular estimators, all at threshold count ``k``.
-    Passing a provider instead runs the threshold initial pass, then
-    argmax steps on that provider's scalings: noise-free with
-    ``ExactScalings`` (how the procedure is validated against known
-    models), or from all observations with ``FrechetMleScalings``.
+    ``SpectralScalings`` starts with the pairwise initial-node screen,
+    at its threshold count.  Any other provider starts with the
+    threshold initial pass: noise-free with ``ExactScalings`` (how the
+    procedure is validated against known models), or from all
+    observations with ``FrechetMleScalings``.
 
     Raises:
         NoInitialNodeError: the initial pass accepted nothing.
     """
-    if isinstance(x, np.ndarray):
-        if k is None:
-            raise ValidationError("k is required when learning from data")
-        provider = SpectralScalings(x, k)
-        return _discover(provider, _pairwise_pass(provider, cfg), cfg, "argmax")
-    return _discover(x, _threshold_pass(x, cfg), cfg, "argmax")
+    if isinstance(provider, SpectralScalings):
+        first = _pairwise_pass(provider, cfg)
+    else:
+        first = _threshold_pass(provider, cfg)
+    return _discover(provider, first, cfg, "argmax")

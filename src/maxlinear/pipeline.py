@@ -13,20 +13,18 @@ maximum-likelihood estimator (``FrechetMleScalings``):
   generation passes with it on data simulated with known margins;
 * ``run_learn`` on data applies it after an empirical-rank transform to
   standard margins, orders nodes with the threshold initial pass plus
-  the argmax discovery loop, and reads the scaling vector off the same
-  provider.  Each ordering pass is one provider call that fits every
-  candidate's subsets at once and caches them; the scaling vector's
-  nested subsets are among them whenever the initial pass accepts a
-  single node, so it reads them back without another pass over the
-  sample.  ``scalings="spectral"`` selects the paper's angular
-  (radial-threshold) estimators instead: the pairwise initial-node
-  screen, argmax steps at threshold count ``k``, and one shared polar
-  decomposition for the scaling vector.
+  the argmax discovery loop, and reads the scaling vector off the
+  recorded passes (``scaling_vector_from_provider``).
+  ``scalings="spectral"`` selects the paper's angular (radial-threshold)
+  estimators instead: the pairwise initial-node screen, argmax steps at
+  threshold count ``k``, and one shared polar decomposition for the
+  scaling vector.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -66,6 +64,7 @@ from .ordering import (
     LearnResult,
     ReorderConfig,
     ScalingProvider,
+    SpectralScalings,
     learn_generations,
     learn_order,
 )
@@ -185,6 +184,8 @@ class LearnConfig:
     def __post_init__(self) -> None:
         _check_choice("scalings", self.scalings, LEARN_SCALINGS)
         _check_choice("transform", self.transform, LEARN_TRANSFORMS)
+        if not 0.0 <= self.prune < math.inf:
+            raise ValidationError(f"prune must be finite and non-negative, got {self.prune}")
 
 
 def _reorder_config(
@@ -199,20 +200,26 @@ def _reorder_config(
 
 
 def scaling_vector_from_provider(
-    provider: ScalingProvider, order_labels: Sequence[int]
+    provider: ScalingProvider, result: LearnResult
 ) -> np.ndarray:
-    """Scaling vector in the learned frame.
+    """Scaling vector in the learned frame of a complete ordering run.
 
-    ``order_labels[p - 1]`` is the original column label sitting at
-    position p of the learned well-ordering; entry (i, j) of the result
-    is the max-domain scaling of the subset {i} ∪ {j+1, …, d} of
-    positions, translated back to original labels.
+    Entry (i, j) is the max-domain scaling of the subset {i} ∪ {j+1, …, d}
+    of positions: the group scaling of position i in the pass whose
+    ordered head is positions j+1..d, read off ``result.passes``.  A head
+    that no pass formed (after an initial pass that accepted several
+    nodes, or between generations) costs one ``pass_scalings`` call.
     """
-    d = len(order_labels)
+    if not result.valid:
+        raise ValidationError("the scaling vector needs a complete ordering")
+    d = result.node_count
+    recorded = {p.ordered_before: p.scalings for p in result.passes}
     s = np.empty(vector_length(d))
     for idx, (i, j) in enumerate(index_pairs(d)):
-        subset = [order_labels[q - 1] for q in subset_at(i, j, d)]
-        s[idx] = provider.max_scaling(subset)
+        head = result.discovery[: d - j]
+        if not recorded.get(head):
+            recorded[head] = provider.pass_scalings(head, result.config.a)
+        s[idx] = recorded[head][result.label_at_position(i)][0]
     return s
 
 
@@ -263,7 +270,7 @@ def run_learn(cfg: LearnConfig) -> dict:
         d = coef.shape[0]
         columns = fileio.default_column_names(d)
         rcfg = _reorder_config(cfg, ReorderConfig.simulation_preset())
-        provider: ScalingProvider | None = ExactScalings(coef)
+        provider: ScalingProvider = ExactScalings(coef)
         result = learn_generations(provider, rcfg)
         k_used = None
         n = None
@@ -277,18 +284,15 @@ def run_learn(cfg: LearnConfig) -> dict:
             )
         xt = _transform_sample(x, cfg.transform)
         rcfg = _reorder_config(cfg, ReorderConfig.data_preset())
-        if cfg.scalings == "mle":
-            provider = FrechetMleScalings(xt)
-            result = learn_order(provider, rcfg)
-        else:
-            result = learn_order(xt, rcfg, k=k_used)
-            provider = None
+        mle = cfg.scalings == "mle"
+        provider = FrechetMleScalings(xt) if mle else SpectralScalings(xt, k_used)
+        result = learn_order(provider, rcfg)
 
-    order_labels = result.column_order()
-    if provider is not None:
-        s = scaling_vector_from_provider(provider, order_labels)
+    if isinstance(provider, SpectralScalings):
+        del provider  # frees its squared columns before the polar decomposition
+        s = shared_polar_scaling_vector(xt, result.column_order(), k_used)
     else:
-        s = shared_polar_scaling_vector(xt, order_labels, k_used)
+        s = scaling_vector_from_provider(provider, result)
     a2 = squared_coefficients(s, d)
     recovered = coefficients_from_squares(a2, d)
     learned = recovered.matrix

@@ -4,9 +4,9 @@ Everything here is written with plain Python loops and explicit formulas,
 deliberately ignoring the package's own vectorized/kernel code paths, so a
 disagreement points at exactly one side.  The exceptions,
 ``rowmajor_scaling_sum``, ``dense_max_times_product``,
-``searchsorted_frechet_transform`` and ``masked_polar_scaling``, are the
-straightforward numpy forms of code paths that must match them bit for
-bit.
+``searchsorted_frechet_transform``, ``masked_polar_scaling`` and
+``per_subset_scaling_vector``, are the straightforward forms of code
+paths that must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -182,6 +182,21 @@ def masked_polar_scaling(polar, over: list[int]) -> float:
     pos = [polar.subset.index(c) for c in over]
     w2 = polar.angles[polar.exceedance_mask][:, pos] ** 2
     return float(len(polar.subset) / polar.threshold_count * w2.max(axis=1).sum())
+
+
+def per_subset_scaling_vector(provider, order_labels: list[int]) -> np.ndarray:
+    """``pipeline.scaling_vector_from_provider`` as one
+    ``provider.max_scaling`` call per subset {i} ∪ {j+1, …, d} of
+    positions, position p holding label ``order_labels[p - 1]``.  Not a
+    plain loop over the data: this is the bit-level oracle for the vector
+    read off the recorded passes."""
+    d = len(order_labels)
+    out = []
+    for i in range(1, d + 1):
+        for j in range(i, d + 1):
+            positions = [i, *range(j + 1, d + 1)]
+            out.append(provider.max_scaling([order_labels[p - 1] for p in positions]))
+    return np.array(out)
 
 
 def naive_covariance_entry(

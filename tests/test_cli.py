@@ -468,12 +468,15 @@ def _degenerate_sample(kind: str) -> np.ndarray:
         return np.round(z, 0)
     if kind == "d1":
         return z[:, :1]
+    if kind == "scaled":
+        # squares overflow and inverse squares underflow to zero
+        return z * 1e170
     return z[: int(kind.removeprefix("n"))]  # n2, n5
 
 
 @pytest.mark.parametrize("transform", ["frechet", "none"])
 @pytest.mark.parametrize("scalings", ["mle", "spectral"])
-@pytest.mark.parametrize("kind", ["duplicate-column", "tied", "d1", "n2", "n5"])
+@pytest.mark.parametrize("kind", ["duplicate-column", "tied", "d1", "n2", "n5", "scaled"])
 def test_degenerate_inputs_exit_cleanly(tmp_path, kind, scalings, transform, capsys):
     # each degenerate input either yields a finite model or ends in a
     # one-line typed error with exit code 3, never a traceback or NaN
@@ -484,6 +487,8 @@ def test_degenerate_inputs_exit_cleanly(tmp_path, kind, scalings, transform, cap
     rc = main([*argv, "--scalings", scalings, "--transform", transform])
     err = capsys.readouterr().err
     assert rc in (0, 3)
+    if kind == "scaled" and transform == "none":
+        assert rc == 3  # not a model with non-finite or zero scalings
     if rc == 0:
         report = json.loads((out / "report.json").read_text())
         for key in ("coefficients_learned_frame", "coefficients_original_frame"):
@@ -491,6 +496,30 @@ def test_degenerate_inputs_exit_cleanly(tmp_path, kind, scalings, transform, cap
     else:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("scalings", ["mle", "spectral"])
+@pytest.mark.parametrize(
+    "option",
+    [
+        ("--a", "inf"),
+        ("--a", "1e200"),
+        ("--eps1", "nan"),
+        ("--eps2", "inf"),
+        ("--eps3", "nan"),
+        ("--prune", "nan"),
+        ("--prune", "-1"),
+    ],
+    ids=lambda option: f"{option[0][2:]}={option[1]}",
+)
+def test_options_that_break_the_formulas_exit_2(tmp_path, option, scalings, capsys):
+    data = tmp_path / "sample.csv"
+    write_sample_csv(np.random.default_rng(0).standard_exponential((2000, 3)) ** -0.5, data)
+    argv = ["learn", "--out", str(tmp_path / "x"), "--data", str(data), *option]
+    assert main([*argv, "--scalings", scalings]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
 
 
 def test_zero_tolerances_find_no_initial_node(tmp_path, sim_dir):

@@ -12,20 +12,26 @@ from maxlinear import (
     DagStructure,
     ExactScalings,
     FrechetMleScalings,
+    LearnResult,
+    ReorderConfig,
     ValidationError,
     empirical_frechet_transform,
     estimate_max_scaling,
     index_pairs,
     path_coefficients,
     polar_decompose,
+    learn_generations,
+    learn_order,
     random_standardized_model,
     random_weights,
+    random_well_ordered_dag,
     scaling_vector,
     simulate,
     standardize,
     subset_at,
     ten_node_model,
 )
+from maxlinear import _kernels
 from maxlinear.fileio import (
     read_sample_csv,
     write_matrix_csv,
@@ -46,7 +52,7 @@ from maxlinear.pipeline import (
     shared_polar_scaling_vector,
 )
 
-from reference import masked_polar_scaling
+from reference import masked_polar_scaling, per_subset_scaling_vector
 
 
 def _complete_dag_model(d: int, seed: int) -> np.ndarray:
@@ -241,9 +247,60 @@ def test_learn_dot_uses_learned_edges(tmp_path):
 
 
 def test_scaling_vector_from_provider_identity_order(preset_model):
-    prov = ExactScalings(preset_model)
-    got = scaling_vector_from_provider(prov, list(range(1, 11)))
+    # a run with no recorded pass: every head costs one provider pass
+    identity = LearnResult(tuple(range(10, 0, -1)), None, (), True, ReorderConfig())
+    got = scaling_vector_from_provider(ExactScalings(preset_model), identity)
     np.testing.assert_allclose(got, scaling_vector(preset_model), atol=1e-12)
+
+
+def test_scaling_vector_from_provider_needs_a_complete_run(preset_model):
+    partial = LearnResult((10,), None, (), False, ReorderConfig())
+    with pytest.raises(ValidationError, match="complete ordering"):
+        scaling_vector_from_provider(ExactScalings(preset_model), partial)
+
+
+def test_mle_scaling_vector_equals_per_subset_fits():
+    # single-root models take every head from a recorded pass; an initial
+    # pass that accepts several nodes leaves heads that cost an extra pass
+    initial_sizes = set()
+    for seed in range(12):
+        x = simulate(random_standardized_model(6, np.random.default_rng(seed)), seed, 2000)
+        prov = FrechetMleScalings(x)
+        res = learn_order(prov, ReorderConfig.data_preset())
+        initial_sizes.add(min(len(res.passes[0].accepted), 2))
+        want = per_subset_scaling_vector(prov, res.column_order())
+        assert np.array_equal(scaling_vector_from_provider(prov, res), want)
+    assert initial_sizes == {1, 2}
+
+
+def test_exact_scaling_vector_of_generation_runs_equals_per_subset_scalings():
+    # generation passes accept several nodes each, so most heads are missing
+    rng = np.random.default_rng(7)
+    cfg = ReorderConfig(eps1=1e-9, eps2=1e-9, eps3=1e-9)
+    for _ in range(30):
+        dag = random_well_ordered_dag(int(rng.integers(2, 9)), rng)
+        prov = ExactScalings(standardize(path_coefficients(dag, random_weights(dag, rng))))
+        res = learn_generations(prov, cfg)
+        want = per_subset_scaling_vector(prov, res.column_order())
+        assert np.array_equal(scaling_vector_from_provider(prov, res), want)
+
+
+def test_mle_ordering_and_scaling_vector_make_no_per_subset_fit(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-subset fit was made")
+
+    for name in ("max_scaling", "rescaled_scaling"):
+        monkeypatch.setattr(FrechetMleScalings, name, refuse)
+    monkeypatch.setattr(_kernels, "scaled_rowmax_invsq_mean", refuse)
+    x = simulate(random_standardized_model(6, np.random.default_rng(3)), 3, 2000)
+    prov = FrechetMleScalings(x)
+    res = learn_order(prov, ReorderConfig.data_preset())
+    assert len(res.passes[0].accepted) == 3  # two heads no pass formed
+    scaling_vector_from_provider(prov, res)
+    prov = FrechetMleScalings(simulate(ten_node_model(), 0, 3000))
+    gen = learn_generations(prov, ReorderConfig(mode="estimated"), strict=False)
+    assert gen.valid
+    scaling_vector_from_provider(prov, gen)
 
 
 def test_shared_polar_scaling_vector_matches_direct_estimates(two_node_model):

@@ -1,14 +1,18 @@
 """Smoke tests for the scripts under scripts/, which import private
-``ordering`` and ``pipeline`` names."""
+``ordering`` and ``pipeline`` names, and for the name table of
+``perfbench/tracing.py``."""
 
 from __future__ import annotations
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 from maxlinear import ten_node_model
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def _load(name: str):
@@ -35,3 +39,17 @@ def test_select_preset_weights_scores_the_preset():
     assert topo == 1
     assert wins == int(err <= 0.15)
     assert 0.0 < err < 1.0
+
+
+def test_perfbench_tracer_finds_every_traced_name():
+    # the tracer wraps package functions and provider methods by name, so
+    # a refactor that drops one must fail here, not only under --trace
+    code = "import tracing; tracing.Tracer().install()"
+    env_path = [str(ROOT / "perfbench"), str(ROOT / "src")]
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path[:0] = {env_path!r}; {code}"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -13,6 +13,9 @@ no other field takes; an ``int`` field takes an integral number, and a
 tuple field takes a JSON list or a comma-separated string.  The configs
 check their own choice fields.
 
+A successful command prints one timing line, ``<command>: N.NNNs``, to
+stderr; the outputs it writes do not depend on it.
+
 Exit codes: 0 success; 2 validation/config error (including an unknown
 config key or a missing required option); 3 a threshold could not be met
 or no initial node was found; 4 file I/O or format error.
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 import types
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -174,7 +178,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     cls, run, _ = COMMANDS[args.command]
     try:
-        run(_make_config(cls, args))
+        cfg = _make_config(cls, args)
+        start = time.perf_counter()
+        run(cfg)
     except (ThresholdError, NoInitialNodeError, EmptyGenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_THRESHOLD
@@ -187,6 +193,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    print(f"{args.command}: {time.perf_counter() - start:.3f}s", file=sys.stderr)
     return EXIT_OK
 
 

@@ -20,33 +20,12 @@ innovation weight at its source times the weights of its edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CyclicGraphError, ValidationError
 
 NodeId = int
 Edge = tuple[NodeId, NodeId]
-
-
-@dataclass(frozen=True)
-class GenerationPartition:
-    """Nodes grouped by longest-path depth from the parentless nodes.
-
-    ``groups[g]`` holds generation g; every node appears exactly once.
-    """
-
-    groups: tuple[frozenset[NodeId], ...]
-
-    def depth(self, node: NodeId) -> int:
-        for g, members in enumerate(self.groups):
-            if node in members:
-                return g
-        raise ValidationError(f"node {node} not covered by the partition")
-
-    def as_sorted_lists(self) -> list[list[NodeId]]:
-        return [sorted(g) for g in self.groups]
 
 
 class DagStructure:
@@ -146,23 +125,23 @@ class DagStructure:
     def topological_order(self) -> tuple[NodeId, ...]:
         return self._topo
 
-    def generations(self) -> GenerationPartition:
+    def generations(self) -> tuple[frozenset[NodeId], ...]:
         """Partition nodes by longest-path distance from the initial nodes.
 
         Returns:
-            ``GenerationPartition`` whose group g holds exactly the nodes
+            One group per generation: group g holds exactly the nodes
             whose longest incoming path from any parentless node has g
-            edges.  Group 0 is ``initial_nodes()``.
+            edges.  Group 0 is ``initial_nodes()``; every node appears
+            exactly once.
         """
         depth = {}
         for n in self._topo:
             ps = self._parents[n - 1]
             depth[n] = 1 + max(depth[p] for p in ps) if ps else 0
         top = max(depth.values())
-        groups = tuple(
+        return tuple(
             frozenset(n for n in self._labels() if depth[n] == g) for g in range(top + 1)
         )
-        return GenerationPartition(groups)
 
     def is_well_ordered(self) -> bool:
         """True when every edge points from a larger label to a smaller one."""

@@ -176,7 +176,9 @@ def read_sample_csv(path: str | Path) -> tuple[np.ndarray, list[str]]:
 # learn results and DOT
 
 
-def learn_result_payload(result: LearnResult) -> dict:
+def learn_result_payload(result: LearnResult, mode: str) -> dict:
+    """JSON form of an ordering run; ``mode`` names its scaling source
+    (``"exact-scalings"`` or ``"estimated"``) next to the constants."""
     cfg = result.config
     return {
         "discovery": list(result.discovery),
@@ -191,7 +193,7 @@ def learn_result_payload(result: LearnResult) -> dict:
             "eps1": cfg.eps1,
             "eps2": cfg.eps2,
             "eps3": cfg.eps3,
-            "mode": cfg.mode,
+            "mode": mode,
         },
         "passes": [
             {

@@ -62,23 +62,21 @@ def is_standardized(coef: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.all(np.abs((a * a).sum(axis=1) - 1.0) <= tol))
 
 
-def standardize(coef: np.ndarray, alpha: float = 2.0) -> np.ndarray:
-    """Divide each row by its alpha-norm so that row masses are one.
+def standardize(coef: np.ndarray) -> np.ndarray:
+    """Divide each row by its Euclidean norm so that row masses are one.
 
-    With the package-wide tail index alpha=2 this makes every component
-    scaling equal to one while leaving all cross-component dependence
-    intact.  Idempotent.
+    At the package-wide tail index 2 this makes every component scaling
+    equal to one while leaving all cross-component dependence intact.
+    Idempotent.
 
     Args:
         coef: coefficient matrix with positive diagonal.
-        alpha: norm exponent; the estimation theory in this package is
-            exercised only at the default 2.
 
     Returns:
         The standardized matrix (new array).
     """
     a = as_coefficient_matrix(coef)
-    norms = (a**alpha).sum(axis=1) ** (1.0 / alpha)
+    norms = (a**2.0).sum(axis=1) ** 0.5
     if np.any(norms <= 0.0):
         raise ValidationError("cannot standardize a matrix with a zero row")
     return a / norms[:, None]

@@ -69,12 +69,16 @@ from .model import (
     rescaled_max_scaling,
 )
 
-MODES = ("exact-scalings", "estimated")
+# Data providers run under this: an estimate pushed out of floating-point
+# range fails a finiteness check and raises, so numpy's warnings about
+# the same overflow would only repeat it.
+_quiet = np.errstate(over="ignore", divide="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True)
 class ReorderConfig:
-    """Tuning constants of the ordering procedure.
+    """Tuning constants of the ordering procedure; the scaling source is
+    the provider's, not a field here.
 
     ``a`` is the inflation factor; ``eps1``/``eps2`` bound the accepted
     delta band for initial nodes from above/below; ``eps3`` bounds
@@ -88,14 +92,11 @@ class ReorderConfig:
     eps1: float = 0.1
     eps2: float = 0.05
     eps3: float = 0.1
-    mode: str = "exact-scalings"
 
     def __post_init__(self) -> None:
         _check_factor(self.a)
         if not all(0.0 <= e < math.inf for e in (self.eps1, self.eps2, self.eps3)):
             raise ValidationError("tolerances must be finite and non-negative")
-        if self.mode not in MODES:
-            raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
 
     @staticmethod
     def simulation_preset() -> "ReorderConfig":
@@ -103,7 +104,7 @@ class ReorderConfig:
 
     @staticmethod
     def data_preset() -> "ReorderConfig":
-        return ReorderConfig(a=1.01, eps1=0.0045, eps2=0.0045, eps3=0.1, mode="estimated")
+        return ReorderConfig(a=1.01, eps1=0.0045, eps2=0.0045, eps3=0.1)
 
 
 class ScalingProvider(Protocol):
@@ -187,6 +188,7 @@ class SpectralScalings:
             no estimate that involves it carries tail information.
     """
 
+    @_quiet
     def __init__(self, x: np.ndarray, k: int) -> None:
         self._cols = _varying_columns(x)
         self._k = int(k)
@@ -224,9 +226,11 @@ class SpectralScalings:
             self._groups[key] = _max_scaling_of_squares(sq, subset, self._k)
         return self._groups[key]
 
+    @_quiet
     def all_node_scaling(self) -> float:
         return self._group(frozenset(_all_nodes(self.node_count)))
 
+    @_quiet
     def pass_scalings(
         self, ordered: Sequence[int], factor: float
     ) -> dict[int, tuple[float, float]]:
@@ -244,6 +248,7 @@ class SpectralScalings:
             out[m] = (group, _rescaled_scaling_of_squares(sq, len(grown), factor, self._k))
         return out
 
+    @_quiet
     def pair_scalings(self, i: int, m: int, factor: float) -> tuple[float, float]:
         """Scalings of ``max(X_i, X_m)`` and of ``max(X_i, factor X_m)``,
         each estimated on the two columns alone."""
@@ -271,6 +276,7 @@ class FrechetMleScalings:
             all-node fit is not finite.
     """
 
+    @_quiet
     def __init__(self, x: np.ndarray) -> None:
         self._cols = _varying_columns(x)
         self._top = self._cols.max(axis=0)
@@ -304,6 +310,7 @@ class FrechetMleScalings:
     def all_node_scaling(self) -> float:
         return self._all_node
 
+    @_quiet
     def pass_scalings(
         self, ordered: Sequence[int], factor: float
     ) -> dict[int, tuple[float, float]]:

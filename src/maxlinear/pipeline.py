@@ -3,8 +3,9 @@ transform.
 
 Each command is a plain function over a typed config so it can be tested
 without going through the argument parser.  All file outputs are
-byte-for-byte reproducible given (input, config, seed); wall-clock
-timings go to stderr only.
+byte-for-byte reproducible given (input, config, seed) and none writes
+to stderr except ``extremes``' short-sample warning; the CLI times the
+commands.
 
 Both data paths share one scaling estimator by default, the Fréchet
 maximum-likelihood estimator (``FrechetMleScalings``):
@@ -26,7 +27,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -39,6 +39,7 @@ from .asymptotics import recovery_variance_positive
 from .dag import DagStructure, path_coefficients, validate_edge_weights
 from .errors import ValidationError
 from .estimation import (
+    _as_sample,
     default_threshold_count,
     empirical_frechet_transform,
     negative_part,
@@ -58,7 +59,6 @@ from .model import (
     standardize,
 )
 from .ordering import (
-    MODES,
     ExactScalings,
     FrechetMleScalings,
     LearnResult,
@@ -78,10 +78,6 @@ from .presets import (
 )
 
 TEN_NODE_PRESET = "ten-node"
-
-
-def _timing(label: str, start: float) -> None:
-    print(f"{label}: {time.perf_counter() - start:.3f}s", file=sys.stderr)
 
 
 def _check_choice(name: str, value: str, allowed: tuple[str, ...]) -> None:
@@ -128,7 +124,6 @@ def _resolve_weights(
 
 
 def run_simulate(cfg: SimulateConfig) -> dict:
-    start = time.perf_counter()
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -141,7 +136,6 @@ def run_simulate(cfg: SimulateConfig) -> dict:
     columns = fileio.default_column_names(dag.node_count)
     fileio.write_sample_csv(x, out / "sample.csv", columns)
 
-    generations = dag.generations()
     payload = {
         "d": dag.node_count,
         "n": cfg.n,
@@ -149,12 +143,11 @@ def run_simulate(cfg: SimulateConfig) -> dict:
         "dag": cfg.dag,
         "weight_policy": cfg.weights,
         "edges": [[j, i] for j, i in sorted(dag.edges)],
-        "generations": [sorted(g) for g in generations.groups],
+        "generations": [sorted(g) for g in dag.generations()],
         "columns": columns,
         "coefficients": [[float(v) for v in row] for row in coef],
     }
     (out / "model.json").write_text(json.dumps(payload, indent=2) + "\n")
-    _timing("simulate", start)
     return payload
 
 
@@ -259,22 +252,24 @@ def _transform_sample(x: np.ndarray, how: str) -> np.ndarray:
 
 
 def run_learn(cfg: LearnConfig) -> dict:
-    start = time.perf_counter()
     if (cfg.data is None) == (cfg.model is None):
         raise ValidationError("exactly one of data= or model= must be given")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
 
     if cfg.model is not None:
+        mode = "exact-scalings"
         coef = standardize(as_coefficient_matrix(fileio.read_matrix_auto(cfg.model)))
         d = coef.shape[0]
         columns = fileio.default_column_names(d)
         rcfg = _reorder_config(cfg, ReorderConfig.simulation_preset())
-        provider: ScalingProvider = ExactScalings(coef)
-        result = learn_generations(provider, rcfg)
+        exact = ExactScalings(coef)
+        result = learn_generations(exact, rcfg)
+        s = scaling_vector_from_provider(exact, result)
         k_used = None
         n = None
     else:
+        mode = "estimated"
         x, columns = fileio.read_sample_csv(cfg.data)
         n, d = x.shape
         k_used = cfg.k if cfg.k is not None else default_threshold_count(n)
@@ -284,15 +279,15 @@ def run_learn(cfg: LearnConfig) -> dict:
             )
         xt = _transform_sample(x, cfg.transform)
         rcfg = _reorder_config(cfg, ReorderConfig.data_preset())
-        mle = cfg.scalings == "mle"
-        provider = FrechetMleScalings(xt) if mle else SpectralScalings(xt, k_used)
-        result = learn_order(provider, rcfg)
+        if cfg.scalings == "mle":
+            mle = FrechetMleScalings(xt)
+            result = learn_order(mle, rcfg)
+            s = scaling_vector_from_provider(mle, result)
+        else:
+            # the provider and its squared columns are freed before the polar step
+            result = learn_order(SpectralScalings(xt, k_used), rcfg)
+            s = shared_polar_scaling_vector(xt, result.column_order(), k_used)
 
-    if isinstance(provider, SpectralScalings):
-        del provider  # frees its squared columns before the polar decomposition
-        s = shared_polar_scaling_vector(xt, result.column_order(), k_used)
-    else:
-        s = scaling_vector_from_provider(provider, result)
     a2 = squared_coefficients(s, d)
     recovered = coefficients_from_squares(a2, d)
     learned = recovered.matrix
@@ -304,7 +299,7 @@ def run_learn(cfg: LearnConfig) -> dict:
 
     report = {
         "kind": "learn-report",
-        "mode": rcfg.mode,
+        "mode": mode,
         "d": d,
         "n": n,
         "k": k_used,
@@ -312,7 +307,7 @@ def run_learn(cfg: LearnConfig) -> dict:
         "transform": cfg.transform if cfg.model is None else None,
         "prune": cfg.prune,
         "columns": columns,
-        "order": fileio.learn_result_payload(result),
+        "order": fileio.learn_result_payload(result, mode),
         "coefficients_learned_frame": [[float(v) for v in row] for row in learned],
         "coefficients_original_frame": [[float(v) for v in row] for row in original],
         "row_scalings_learned_frame": [float(v) for v in row_scalings],
@@ -324,7 +319,6 @@ def run_learn(cfg: LearnConfig) -> dict:
     (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
     fileio.write_matrix_csv(original, out / "coefficients.csv")
     fileio.write_dot(original, out / "model.dot", labels=columns)
-    _timing("learn", start)
     return report
 
 
@@ -349,6 +343,7 @@ def _degeneracy_diagnostics(learned: np.ndarray) -> list[list[int]]:
 # study
 
 
+STUDY_MODES = ("exact-scalings", "estimated")
 STUDY_WEIGHT_POLICIES = ("preset", "paper")
 
 
@@ -362,14 +357,20 @@ class StudyConfig:
     eps1: float | None = None
     eps2: float | None = None
     eps3: float | None = None
-    mode: str = "estimated"  # one of ordering.MODES
+    mode: str = "estimated"  # one of STUDY_MODES: the scaling source
     weights: str = "preset"  # preset (one fixed matrix) | paper (redrawn per run)
     workers: int = 1
     detail: bool = False
 
     def __post_init__(self) -> None:
-        _check_choice("mode", self.mode, MODES)
+        _check_choice("mode", self.mode, STUDY_MODES)
         _check_choice("weights", self.weights, STUDY_WEIGHT_POLICIES)
+        if self.runs < 1:
+            raise ValidationError(f"runs must be at least 1, got {self.runs}")
+        if not self.sizes or min(self.sizes) < 2:
+            raise ValidationError(
+                f"sizes must be one or more sample sizes of at least 2, got {self.sizes}"
+            )
 
 
 @dataclass(frozen=True)
@@ -395,6 +396,7 @@ def _study_replicate(
     size: int,
     rcfg: ReorderConfig,
     weight_policy: str,
+    mode: str,
 ) -> tuple[bool, bool]:
     """One study run: pick weights per policy, fresh sample, threshold ordering.
 
@@ -409,7 +411,6 @@ def _study_replicate(
     and placed every node; correct additionally means the recovered
     generation partition equals the true one.
     """
-    truth = tuple(frozenset(g) for g in TEN_NODE_GENERATIONS)
     weight_seed, data_seed = seed_seq.spawn(2)
     if weight_policy == "preset":
         coef = ten_node_model()
@@ -417,35 +418,31 @@ def _study_replicate(
         dag = ten_node_dag()
         weights = random_weights(dag, np.random.default_rng(weight_seed))
         coef = standardize(path_coefficients(dag, weights))
-    if rcfg.mode == "exact-scalings":
-        provider: ScalingProvider = ExactScalings(coef)
+    if mode == "exact-scalings":
+        result = learn_generations(ExactScalings(coef), rcfg, strict=False)
     else:
         x = simulate(coef, int(data_seed.generate_state(1)[0]), size)
-        provider = FrechetMleScalings(x)
-    result = learn_generations(provider, rcfg, strict=False)
+        result = learn_generations(FrechetMleScalings(x), rcfg, strict=False)
     valid = result.valid
     correct = bool(
         valid
         and result.generations is not None
-        and tuple(frozenset(g) for g in result.generations) == truth
+        and tuple(frozenset(g) for g in result.generations) == TEN_NODE_GENERATIONS
     )
     return valid, correct
 
 
 def run_study(cfg: StudyConfig) -> StudyResult:
-    start = time.perf_counter()
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    rcfg = _reorder_config(
-        cfg, replace(ReorderConfig.simulation_preset(), mode=cfg.mode)
-    )
+    rcfg = _reorder_config(cfg, ReorderConfig.simulation_preset())
 
     jobs = [(size, run) for size in cfg.sizes for run in range(cfg.runs)]
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(jobs))
 
     def work(idx: int) -> tuple[bool, bool]:
         size, _ = jobs[idx]
-        return _study_replicate(seeds[idx], size, rcfg, cfg.weights)
+        return _study_replicate(seeds[idx], size, rcfg, cfg.weights, cfg.mode)
 
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
@@ -475,7 +472,7 @@ def run_study(cfg: StudyConfig) -> StudyResult:
     payload = {
         "kind": "study-report",
         "seed": cfg.seed,
-        "mode": rcfg.mode,
+        "mode": cfg.mode,
         "weights": cfg.weights,
         "a": rcfg.a,
         "eps1": rcfg.eps1,
@@ -498,7 +495,6 @@ def run_study(cfg: StudyConfig) -> StudyResult:
             fh.write("n,run,valid,correct\n")
             for size, run, v, c in result.outcomes:
                 fh.write(f"{size},{run},{int(v)},{int(c)}\n")
-    _timing("study", start)
     return result
 
 
@@ -552,8 +548,7 @@ def _top_pair_rows(x: np.ndarray, i: int, j: int, count: int) -> np.ndarray:
 
 
 def run_extremes(cfg: ExtremesConfig) -> int:
-    start = time.perf_counter()
-    x, _ = fileio.read_sample_csv(cfg.data)
+    x = _as_sample(fileio.read_sample_csv(cfg.data)[0])
     n, d = x.shape
     pairs = _parse_pairs(cfg.pairs, d)
     count = cfg.count
@@ -591,7 +586,6 @@ def run_extremes(cfg: ExtremesConfig) -> int:
                         f"{fileio.FLOAT_FMT % xj}\n"
                     )
                     written += 1
-    _timing("extremes", start)
     return written
 
 
@@ -614,8 +608,8 @@ class TransformConfig:
 
 
 def run_transform(cfg: TransformConfig) -> None:
-    start = time.perf_counter()
     x, columns = fileio.read_sample_csv(cfg.data)
+    x = _as_sample(x)
     for op in cfg.ops:
         if op == "negate":
             x = -x
@@ -627,4 +621,3 @@ def run_transform(cfg: TransformConfig) -> None:
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
     fileio.write_sample_csv(x, out, columns)
-    _timing("transform", start)

@@ -5,15 +5,21 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import maxlinear
 from maxlinear import simulate, ten_node_model
 from maxlinear.cli import COMMANDS, build_parser, main
 from maxlinear.fileio import read_sample_csv, write_sample_csv
+from maxlinear.pipeline import LearnConfig, SimulateConfig, run_learn, run_simulate
 
 
 @pytest.fixture()
@@ -206,6 +212,20 @@ def test_study_invalid_weights_via_config(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "option",
+    [("--runs", "-1"), ("--runs", "0"), ("--sizes", ","), ("--sizes", "1"), ("--sizes", "300,1")],
+    ids=["runs-negative", "runs-zero", "sizes-empty", "size-one", "one-size-one"],
+)
+def test_study_rejects_empty_runs(tmp_path, option, capsys):
+    out = tmp_path / "study"
+    argv = ["study", "--out", str(out), "--sizes", "300", "--runs", "2", *option]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not (out / "study.csv").exists()
+
+
 def test_unknown_scalings_via_config_is_validation_error(tmp_path, sim_dir):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scalings": "bogus"}))
@@ -266,17 +286,26 @@ def test_extremes_model_must_be_finite_and_non_negative(tmp_path, small_sample_c
     assert all(r[2] == "simulated" and float(r[3]) == float(r[4]) for r in rows)
 
 
-@pytest.mark.parametrize("scalings", ["mle", "spectral"])
-def test_non_finite_sample_is_validation_error(tmp_path, scalings, capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["learn", "--transform", "none", "--scalings", "mle"], id="mle"),
+        pytest.param(["learn", "--transform", "none", "--scalings", "spectral"], id="spectral"),
+        pytest.param(["extremes"], id="extremes"),
+        pytest.param(["transform", "--ops", "negate"], id="transform"),
+    ],
+)
+def test_non_finite_sample_is_validation_error(tmp_path, argv, capsys):
+    # every command that reads a sample holds it to one finiteness rule
     x = simulate(ten_node_model(), 0, 200)
     x[17, 3] = np.inf
+    x[42, 5] = np.nan
     data = tmp_path / "inf.csv"
     write_sample_csv(x, data)
     out = tmp_path / "x"
-    argv = ["learn", "--out", str(out), "--data", str(data), "--transform", "none"]
-    assert main([*argv, "--scalings", scalings]) == 2
+    assert main([*argv, "--out", str(out), "--data", str(data)]) == 2
     assert "non-finite" in capsys.readouterr().err
-    assert not (out / "report.json").exists()
+    assert not out.is_file() and not any(out.glob("*"))
 
 
 @pytest.mark.parametrize(
@@ -498,6 +527,32 @@ def test_degenerate_inputs_exit_cleanly(tmp_path, kind, scalings, transform, cap
         assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "scalings, factor",
+    [("spectral", 1e170), ("mle", 1e-170)],
+    ids=["spectral-overflow", "mle-underflow"],
+)
+def test_out_of_range_sample_prints_only_the_error(tmp_path, scalings, factor):
+    # in a fresh interpreter, so that numpy's RuntimeWarnings would reach
+    # stderr instead of being captured by pytest
+    z = np.random.default_rng(0).standard_exponential((2000, 3)) ** -0.5
+    data = tmp_path / "sample.csv"
+    write_sample_csv(z * factor, data)
+    paths = [str(Path(maxlinear.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    argv = ["learn", "--out", str(tmp_path / "x"), "--data", str(data), "--transform", "none"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "maxlinear.cli", *argv, "--scalings", scalings],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 3
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: ")
+
+
 @pytest.mark.parametrize("scalings", ["mle", "spectral"])
 @pytest.mark.parametrize(
     "option",
@@ -573,6 +628,38 @@ def test_missing_dag_file(tmp_path):
         ["simulate", "--out", str(tmp_path / "s"), "--dag", str(tmp_path / "no.txt")]
     )
     assert rc == 4
+
+
+# ---------------------------------------------------------------------------
+# timing: the CLI prints one line per successful command
+
+
+def test_each_command_prints_one_timing_line(tmp_path, capsys):
+    sim = tmp_path / "simulate"  # the first command's output feeds the others
+    sample = str(sim / "sample.csv")
+    missing = str(tmp_path / "missing.csv")
+    argvs = {
+        "simulate": (["--n", "500"], ["--dag", missing]),
+        "learn": (["--model", str(sim / "model.json")], ["--data", missing]),
+        "study": (["--sizes", "300", "--runs", "1"], ["--a", "0.5"]),
+        "extremes": (["--data", sample, "--count", "3"], ["--data", missing]),
+        "transform": (["--data", sample], ["--data", missing]),
+    }
+    assert sorted(argvs) == sorted(COMMANDS)
+    for command, (ok, bad) in argvs.items():
+        assert main([command, "--out", str(tmp_path / command), *ok]) == 0
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"{command}: \d+\.\d{{3}}s\n", err), err
+        assert main([command, "--out", str(tmp_path / f"bad-{command}"), *bad]) != 0
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+def test_commands_called_directly_write_nothing_to_stderr(tmp_path, capsys):
+    sim = tmp_path / "sim"
+    run_simulate(SimulateConfig(out=str(sim), n=2000))
+    run_learn(LearnConfig(out=str(tmp_path / "learn"), data=str(sim / "sample.csv")))
+    assert capsys.readouterr().err == ""
 
 
 # ---------------------------------------------------------------------------

@@ -92,11 +92,8 @@ def test_ancestors_descendants_diamond():
 
 def test_ten_node_generations_frozen():
     gens = ten_node_dag().generations()
-    assert tuple(frozenset(g) for g in gens.groups) == tuple(
-        frozenset(g) for g in TEN_NODE_GENERATIONS
-    )
-    assert gens.as_sorted_lists() == [[10], [8, 9], [5, 6, 7], [1, 2, 3, 4]]
-    assert gens.depth(10) == 0 and gens.depth(5) == 2
+    assert gens == TEN_NODE_GENERATIONS
+    assert [sorted(g) for g in gens] == [[10], [8, 9], [5, 6, 7], [1, 2, 3, 4]]
 
 
 def test_ten_node_is_well_ordered():
@@ -127,7 +124,7 @@ def test_ten_node_edge_list_frozen():
 @given(d=st.integers(2, 8), seed=st.integers(0, 10_000))
 def test_generations_match_naive_longest_path(d, seed):
     dag = random_well_ordered_dag(d, np.random.default_rng(seed))
-    got = [set(g) for g in dag.generations().groups]
+    got = [set(g) for g in dag.generations()]
     assert got == naive_generations(d, sorted(dag.edges))
 
 
@@ -144,7 +141,7 @@ def test_ancestors_match_naive_reachability(d, seed):
 @given(d=st.integers(2, 8), seed=st.integers(0, 10_000))
 def test_no_directed_path_within_a_generation(d, seed):
     dag = random_well_ordered_dag(d, np.random.default_rng(seed))
-    for group in dag.generations().groups:
+    for group in dag.generations():
         for v in group:
             assert not (dag.ancestors(v) & group)
             assert not (dag.descendants(v) & group)

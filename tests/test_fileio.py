@@ -218,7 +218,7 @@ def test_learn_result_payload_fields(preset_model):
     res = learn_generations(
         ExactScalings(preset_model), ReorderConfig.simulation_preset()
     )
-    payload = learn_result_payload(res)
+    payload = learn_result_payload(res, "exact-scalings")
     assert payload["valid"] is True
     assert payload["discovery"][0] == 10
     assert payload["column_order"] == list(reversed(payload["discovery"]))

@@ -60,7 +60,6 @@ def test_reorder_config_validation():
         {"eps1": math.nan},
         {"eps2": math.inf},
         {"eps3": math.nan},
-        {"mode": "other"},
     ):
         with pytest.raises(ValidationError):
             ReorderConfig(**bad)
@@ -69,10 +68,8 @@ def test_reorder_config_validation():
 def test_preset_values():
     sim = ReorderConfig.simulation_preset()
     assert (sim.a, sim.eps1, sim.eps2, sim.eps3) == (np.sqrt(2.0), 0.1, 0.05, 0.1)
-    assert sim.mode == "exact-scalings"
     data = ReorderConfig.data_preset()
     assert (data.a, data.eps1, data.eps2, data.eps3) == (1.01, 0.0045, 0.0045, 0.1)
-    assert data.mode == "estimated"
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +253,7 @@ def test_generation_delta_zero_iff_no_unordered_ancestors(d, seed):
     coef = standardize(path_coefficients(dag, random_weights(dag, rng)))
     a = np.sqrt(2.0)
     base = max_scaling(coef, list(range(1, d + 1)))
-    gens = dag.generations().groups
+    gens = dag.generations()
     head: list[int] = []
     for g in range(len(gens) - 1):
         head.extend(sorted(gens[g]))
@@ -328,7 +325,7 @@ def test_learn_generations_recovers_true_generations_exact(d, seed):
     coef = standardize(path_coefficients(dag, random_weights(dag, rng)))
     res = learn_generations(ExactScalings(coef), EXACT)
     assert res.valid
-    truth = tuple(tuple(sorted(g)) for g in dag.generations().groups)
+    truth = tuple(tuple(sorted(g)) for g in dag.generations())
     assert res.generations == truth
 
 

@@ -298,7 +298,7 @@ def test_mle_ordering_and_scaling_vector_make_no_per_subset_fit(monkeypatch):
     assert len(res.passes[0].accepted) == 3  # two heads no pass formed
     scaling_vector_from_provider(prov, res)
     prov = FrechetMleScalings(simulate(ten_node_model(), 0, 3000))
-    gen = learn_generations(prov, ReorderConfig(mode="estimated"), strict=False)
+    gen = learn_generations(prov, ReorderConfig(), strict=False)
     assert gen.valid
     scaling_vector_from_provider(prov, gen)
 

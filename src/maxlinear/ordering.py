@@ -31,9 +31,10 @@ estimates (``SpectralScalings`` for the angular estimators,
 ``all_node_scaling()`` and makes one call, ``pass_scalings(ordered,
 factor)``, which returns for every unordered candidate m the scaling of
 head ∪ {m} and the scaling of the maximum with that group inflated.
-``FrechetMleScalings`` answers it in one sweep over the sample, O(n) per
-candidate; ``SpectralScalings`` from squared columns it caches once, so
-each estimate is one banded row sum (``_kernels.scaling_sum``).  Each
+``FrechetMleScalings`` answers it from inverse squares it tables once,
+so each candidate costs two row minima and two sums and no power;
+``SpectralScalings`` from squared columns it caches once, so each
+estimate is one banded row sum (``_kernels.scaling_sum``).  Each
 ``DeltaPass`` keeps its answer, which is where the scaling vector is
 read from.  No pass calls the per-subset methods ``max_scaling`` and
 ``rescaled_scaling``; they are the references the tests hold it to.
@@ -265,9 +266,12 @@ class FrechetMleScalings:
     Used by the simulation-study harness and by default in ``learn`` on
     data; unlike the angular estimates these use every observation, not
     only the radial exceedances.  The sample must be finite.  It is held
-    column by column with its row maximum, which is fitted once for the
-    all-node scaling, so that ``pass_scalings`` can fit all candidates of
-    a pass in one sweep (``_kernels.rowmax_pass_invsq_means``).
+    column by column, and with it the inverse squares the fits average
+    (``_kernels.inverse_squares``): of every column, of the row maximum,
+    whose table also gives the all-node fit, and of the inflated columns
+    for each factor a pass has used.  ``pass_scalings`` then fits all
+    candidates of a pass from these tables with row minima and sums
+    (``_kernels.pass_invsq_means``), and takes no power itself.
 
     Raises:
         ValidationError: the sample is not a non-empty, finite 2-D matrix.
@@ -279,8 +283,10 @@ class FrechetMleScalings:
     @_quiet
     def __init__(self, x: np.ndarray) -> None:
         self._cols = _varying_columns(x)
-        self._top = self._cols.max(axis=0)
-        self._all_node = self._fit(_kernels._invsq_mean(self._top))
+        self._inv = _kernels.inverse_squares(self._cols)
+        self._top_inv = _kernels.inverse_squares(self._cols.max(axis=0))
+        self._inflated_inv: dict[float, np.ndarray] = {}
+        self._all_node = self._fit(float(self._top_inv.sum() / self._top_inv.shape[0]))
 
     @property
     def node_count(self) -> int:
@@ -310,14 +316,19 @@ class FrechetMleScalings:
     def all_node_scaling(self) -> float:
         return self._all_node
 
+    def _inflated(self, factor: float) -> np.ndarray:
+        if factor not in self._inflated_inv:
+            _check_factor(factor)
+            self._inflated_inv[factor] = _kernels.inverse_squares(factor * self._cols)
+        return self._inflated_inv[factor]
+
     @_quiet
     def pass_scalings(
         self, ordered: Sequence[int], factor: float
     ) -> dict[int, tuple[float, float]]:
-        factor = float(factor)
-        _check_factor(factor)
+        inflated = self._inflated(float(factor))
         head = [int(v) - 1 for v in ordered]
-        means = _kernels.rowmax_pass_invsq_means(self._cols, head, factor, self._top)
+        means = _kernels.pass_invsq_means(self._inv, inflated, self._top_inv, head)
         return {
             j + 1: (self._fit(group), self._fit(rescaled))
             for j, (group, rescaled) in means.items()

@@ -534,6 +534,8 @@ def _parse_pairs(spec: str, d: int) -> list[tuple[int, int]]:
             raise ValidationError(f"cannot parse pair {token!r}; use 'i-j'") from exc
         if not (1 <= i <= d and 1 <= j <= d) or i == j:
             raise ValidationError(f"pair {token!r} out of range for d={d}")
+        if (i, j) in pairs:
+            raise ValidationError(f"pair {token!r} is listed twice")
         pairs.append((i, j))
     if not pairs:
         raise ValidationError("empty pair list")
@@ -566,7 +568,7 @@ def run_extremes(cfg: ExtremesConfig) -> int:
         sources.append(("real", x))
     if cfg.source in ("simulated", "both"):
         if cfg.model is None:
-            raise ValidationError("simulated extremes need model= coefficients")
+            raise ValidationError("simulated extremes need --model coefficients")
         a = fileio.read_matrix_auto(cfg.model)
         if a.shape != (d, d):
             raise ValidationError("model matrix shape does not match the data")
@@ -603,6 +605,8 @@ class TransformConfig:
     ops: tuple[str, ...] = ("frechet",)  # applied in order, each one of TRANSFORM_OPS
 
     def __post_init__(self) -> None:
+        if not self.ops:
+            raise ValidationError("ops must name one or more transforms")
         for op in self.ops:
             _check_choice("ops", op, TRANSFORM_OPS)
 

@@ -226,6 +226,41 @@ def test_study_rejects_empty_runs(tmp_path, option, capsys):
     assert not (out / "study.csv").exists()
 
 
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_transform_rejects_empty_ops(tmp_path, small_sample_csv, how, capsys):
+    out = tmp_path / "trans.csv"
+    argv = ["transform", "--data", str(small_sample_csv), "--out", str(out)]
+    if how == "flag":
+        argv += ["--ops", ","]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ops": []}))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: ops must name one or more transforms\n"
+    assert not out.exists()
+
+
+def test_extremes_rejects_a_repeated_pair(tmp_path, small_sample_csv, capsys):
+    out = tmp_path / "ext.csv"
+    argv = ["extremes", "--data", str(small_sample_csv), "--out", str(out)]
+    assert main([*argv, "--pairs", "1-2, 1-2", "--count", "3"]) == 2
+    assert capsys.readouterr().err == "error: pair '1-2' is listed twice\n"
+    assert not out.exists()
+    # the two orientations of a pair are distinct outputs
+    assert main([*argv, "--pairs", "1-2,2-1", "--count", "3"]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 2 * 3
+
+
+def test_extremes_simulated_source_names_the_model_option(tmp_path, small_sample_csv, capsys):
+    out = tmp_path / "ext.csv"
+    argv = ["extremes", "--data", str(small_sample_csv), "--out", str(out)]
+    assert main([*argv, "--source", "simulated"]) == 2
+    assert capsys.readouterr().err == "error: simulated extremes need --model coefficients\n"
+    assert not out.exists()
+
+
 def test_unknown_scalings_via_config_is_validation_error(tmp_path, sim_dir):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scalings": "bogus"}))
@@ -527,17 +562,26 @@ def test_degenerate_inputs_exit_cleanly(tmp_path, kind, scalings, transform, cap
         assert err.startswith("error: ")
 
 
+def _bare_row(z):
+    z[7] = [0.0, -0.0, -2.0]
+    return z
+
+
 @pytest.mark.parametrize(
-    "scalings, factor",
-    [("spectral", 1e170), ("mle", 1e-170)],
-    ids=["spectral-overflow", "mle-underflow"],
+    "scalings, sample, text",
+    [
+        ("spectral", lambda z: z * 1e170, ""),
+        ("mle", lambda z: z * 1e-170, "row maxima must be in floating-point range for the MLE"),
+        ("mle", _bare_row, "row maxima must be strictly positive for the MLE"),
+    ],
+    ids=["spectral-overflow", "mle-underflow", "mle-bare-row"],
 )
-def test_out_of_range_sample_prints_only_the_error(tmp_path, scalings, factor):
+def test_out_of_range_sample_prints_only_the_error(tmp_path, scalings, sample, text):
     # in a fresh interpreter, so that numpy's RuntimeWarnings would reach
     # stderr instead of being captured by pytest
     z = np.random.default_rng(0).standard_exponential((2000, 3)) ** -0.5
     data = tmp_path / "sample.csv"
-    write_sample_csv(z * factor, data)
+    write_sample_csv(sample(z), data)
     paths = [str(Path(maxlinear.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     argv = ["learn", "--out", str(tmp_path / "x"), "--data", str(data), "--transform", "none"]
@@ -550,7 +594,7 @@ def test_out_of_range_sample_prints_only_the_error(tmp_path, scalings, factor):
     )
     assert proc.returncode == 3
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
-    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.startswith(f"error: {text}")
 
 
 @pytest.mark.parametrize("scalings", ["mle", "spectral"])

@@ -74,6 +74,51 @@ def test_rowmax_invsq_mean_nan_on_nonpositive_row():
     assert math.isnan(naive_rowmax_invsq_mean(x.tolist(), w.tolist()))
 
 
+def _adjacent_doubles() -> np.ndarray:
+    """Sorted doubles: runs of neighbours at every power of two, so across
+    each binade edge, through the subnormals and near where ``x ** -2``
+    overflows or underflows, with 0, the largest double and inf."""
+    rng = np.random.default_rng(0)
+    seeds = np.concatenate(
+        [2.0 ** np.arange(-1074, 1024), 2.0 ** rng.uniform(-1074, 1024, size=2000)]
+    )
+    runs = [seeds]
+    down, up = seeds.copy(), seeds.copy()
+    for _ in range(3):
+        down, up = np.nextafter(down, 0.0), np.nextafter(up, np.inf)
+        runs += [down, up]
+    return np.unique(np.concatenate([*runs, [0.0, np.finfo(float).max, np.inf]]))
+
+
+def test_inverse_square_of_a_maximum_is_the_minimum_of_inverse_squares():
+    # the identity pass_invsq_means rests on: power(., -2.0) is monotone
+    # non-increasing on [0, inf], so max and min commute with it
+    x = _adjacent_doubles()
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = x**-2.0
+        assert np.all(inv[1:] <= inv[:-1])
+        for u, v in ((x[1:], x[:-1]), (x, np.random.default_rng(1).permutation(x))):
+            np.testing.assert_array_equal(
+                np.maximum(u, v) ** -2.0, np.minimum(u**-2.0, v**-2.0)
+            )
+    assert inv[0] == np.inf and inv[-1] == 0.0
+
+
+def test_pass_invsq_means_hand_values():
+    x = np.array([[1.0, 2.0, 0.0], [4.0, -1.0, 0.5]])  # (d, n) columns
+    with np.errstate(divide="ignore"):
+        inv, top = kern.inverse_squares(x), kern.inverse_squares(x.max(axis=0))
+        inflated = kern.inverse_squares(2.0 * x)
+    np.testing.assert_array_equal(inv, [[1.0, 0.25, np.nan], [1 / 16, np.nan, 4.0]])
+    got = kern.pass_invsq_means(inv, inflated, top, [])
+    # column 0 alone has a row with no positive entry; column 1 alone
+    # does too; together every row has one
+    assert math.isnan(got[0][0]) and math.isnan(got[1][0])
+    [(group, rescaled)] = kern.pass_invsq_means(inv, inflated, top, [0]).values()
+    assert group == (4.0**-2 + 2.0**-2 + 0.5**-2) / 3
+    assert rescaled == (8.0**-2 + 4.0**-2 + 1.0**-2) / 3
+
+
 # ---------------------------------------------------------------------------
 # agreement with the plain-loop oracles in tests/reference.py
 

@@ -128,8 +128,8 @@ def test_frechet_mle_scalings_reject_non_finite_sample(bad):
 def _outcome(compute):
     try:
         return compute()
-    except ThresholdError:
-        return "ThresholdError"
+    except ThresholdError as exc:
+        return f"ThresholdError: {exc}"
 
 
 # few distinct values, so rows tie within themselves and against the
@@ -152,6 +152,12 @@ _ELEMENTS = {
 def test_mle_pass_scalings_equal_per_subset_fits(kind, data, d, n, factor):
     x = data.draw(hnp.arrays(np.float64, (n, d), elements=_ELEMENTS[kind]))
     order = data.draw(st.permutations(range(1, d + 1)))
+    _assert_mle_passes_equal_per_subset_fits(x, order, factor)
+
+
+def _assert_mle_passes_equal_per_subset_fits(x, order, factor):
+    d = x.shape[1]
+    outcomes = []
     for head in {(), tuple(order[: d // 2]), tuple(order[: d - 1])}:
 
         def per_subset():
@@ -166,6 +172,52 @@ def test_mle_pass_scalings_equal_per_subset_fits(kind, data, d, n, factor):
             want = _outcome(per_subset)
             got = _outcome(lambda: FrechetMleScalings(x).pass_scalings(head, factor))
         assert got == want
+        outcomes.append(got)
+    return outcomes
+
+
+@pytest.mark.parametrize("kind", ["wide", "overflow", "signed"])
+@pytest.mark.parametrize("factor", [1.01, math.sqrt(2.0)])
+def test_mle_pass_scalings_equal_per_subset_fits_at_wide_magnitudes(kind, factor):
+    # n is no multiple of the SIMD width; magnitudes 10^+-150 meet tiny row
+    # maxima, and 10^+-160 ones whose inverse square overflows to inf
+    rng = np.random.default_rng(["wide", "overflow", "signed"].index(kind))
+    n, d = 1003, 10
+    top = 160 if kind == "overflow" else 150
+    x = rng.uniform(0.5, 2.0, size=(n, d)) * 10.0 ** rng.integers(-top, top + 1, size=(n, d))
+    if kind == "signed":
+        # zeros of both signs and negative entries, but no row without a
+        # positive entry in the deepest heads
+        spots = rng.random(size=(n, d)) < 0.1
+        x[spots] = rng.choice([0.0, -0.0, -1.0, -1e150], size=int(spots.sum()))
+    outcomes = _assert_mle_passes_equal_per_subset_fits(x, list(rng.permutation(d) + 1), factor)
+    if kind != "overflow":
+        # some pass fits finitely, so values are compared, not only errors
+        assert any(isinstance(o, dict) for o in outcomes)
+
+
+def test_mle_fits_keep_their_error_texts():
+    positive = "row maxima must be strictly positive for the MLE"
+    in_range = "row maxima must be in floating-point range for the MLE"
+    x = np.random.default_rng(0).standard_exponential((500, 3)) ** -0.5
+    # the constructor's all-node fit: a row with no positive entry, and
+    # maxima whose inverse squares overflow
+    bare = x.copy()
+    bare[7] = [0.0, -0.0, -2.0]
+    for sample, text in ((bare, positive), (x * 1e-170, in_range)):
+        with pytest.raises(ThresholdError, match=text):
+            FrechetMleScalings(sample)
+    # a pass: the row is non-positive on the first two columns only, or
+    # the first column alone is out of range; a head on the third column
+    # lifts both
+    part = x.copy()
+    part[7, :2] = [0.0, -1.0]
+    small = x * [1e-170, 1.0, 1.0]
+    for sample, text in ((part, positive), (small, in_range)):
+        prov = FrechetMleScalings(sample)
+        with pytest.raises(ThresholdError, match=text):
+            prov.pass_scalings((), 1.01)
+        assert sorted(prov.pass_scalings((3,), 1.01)) == [1, 2]
 
 
 @pytest.mark.parametrize("kind", sorted(_ELEMENTS))

@@ -19,6 +19,17 @@ order-learning sweeps:
   ``scaled_rowmax_invsq_mean``, one weighted subset at a time, is the
   reference it is tested against.
 
+The kernels write into buffers the caller owns where that saves a
+temporary: ``max_times_product(..., out=)`` fills the column slice of
+a (d, n) sample that ``model.simulate`` hands it, and
+``inverse_squares(x, out=x)`` powers a table in place.  A fresh 10^4 x
+10 float64 temporary is 800 KB, which glibc maps and unmaps anew, so
+each one costs some 200 minor page faults at about 3 us each (2-CPU
+x86-64 host).  Writing in place cut a ``study`` command (sizes 2000 to
+10^4, one run each) from about 1,690 faults to 740-775, and the outputs
+keep their bits: an in-place ufunc runs the same loop on the same
+contiguous rows as the allocating one.
+
 Callers reach each kernel through this module (``_kernels.<name>``)
 rather than importing the function, so there is one place to replace or
 instrument it.
@@ -36,8 +47,10 @@ _EPS = 2.0**-53
 _BIG = 2.0**1023
 
 
-def max_times_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """``out[i, j] = max_k left[i, k] * right[k, j]`` for non-negative,
+def max_times_product(
+    left: np.ndarray, right: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``result[i, j] = max_k left[i, k] * right[k, j]`` for non-negative,
     finite ``left`` (n, q) and ``right`` (q, m).
 
     ``left`` is transposed once into contiguous columns.  Each output
@@ -58,11 +71,22 @@ def max_times_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     nan, a negative product loses to the zero start); such inputs are
     outside the contract.  So is the sign of a zero: a ``-0.0`` in
     ``right`` is skipped like ``+0.0``, so an output column whose
-    ``right`` column is all signed zeros reads ``+0``.  The result is an
-    (n, m) view of a column-major buffer.
+    ``right`` column is all signed zeros reads ``+0``.
+
+    The result is written column by column into ``out``, a float64 (m, n)
+    array whose row j takes output column j; each row must be contiguous,
+    but ``out`` may be a column slice of a wider buffer, which is how
+    ``model.simulate`` has every block, on any thread, write its own rows
+    of one (d, n) sample.  Without ``out`` one is allocated.  The return
+    value is ``out.T``, the (n, m) column-major view.  On a 10^4 x 10
+    block of the ten-node preset, filling ``out`` took 0.78 ms with no
+    page fault, against 1.78 ms and 358 faults to allocate the product
+    and copy it into the sample (2-CPU x86-64 host, numpy 2.4).
     """
     cols = np.ascontiguousarray(left.T, dtype=np.float64)
-    out = np.zeros((right.shape[1], cols.shape[1]), dtype=np.float64)
+    if out is None:
+        out = np.empty((right.shape[1], cols.shape[1]), dtype=np.float64)
+    out.fill(0.0)
     tmp = np.empty(cols.shape[1], dtype=np.float64)
     for j in range(right.shape[1]):
         for k in np.flatnonzero(right[:, j]):
@@ -156,12 +180,14 @@ def scaled_rowmax_invsq_mean(x: np.ndarray, w: np.ndarray) -> float:
     return _invsq_mean((x * w).max(axis=1))
 
 
-def inverse_squares(x: np.ndarray) -> np.ndarray:
+def inverse_squares(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``x ** -2.0`` elementwise, nan where ``x`` is not positive (the
     table ``pass_invsq_means`` reads); call it with numpy's divide and
-    overflow warnings silenced."""
-    out = x**-2.0
-    out[x <= 0.0] = np.nan
+    overflow warnings silenced.  The mask is taken before the power, so
+    ``out`` may be ``x`` itself; without ``out`` one is allocated."""
+    bad = x <= 0.0
+    out = np.power(x, -2.0, out=out)
+    out[bad] = np.nan
     return out
 
 

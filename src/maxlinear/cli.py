@@ -24,6 +24,7 @@ or no initial node was found; 4 file I/O or format error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -94,7 +95,14 @@ HELP = {
 }
 
 
+# the resolved field types of a config class, read once per process
+_hints = functools.cache(get_type_hints)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing
+    leaves it unchanged, so in-process callers of ``main`` share it."""
     parser = argparse.ArgumentParser(
         prog="maxlinear",
         description=(
@@ -106,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (cls, _, text) in COMMANDS.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="JSON config file; explicit flags override its values")
-        hints = get_type_hints(cls)
+        hints = _hints(cls)
         for f in fields(cls):
             default = "required" if f.default is MISSING else f"default: {f.default}"
             kw: dict[str, Any] = {"help": f"{HELP[f.name]} ({default})"}
@@ -164,7 +172,7 @@ def _make_config(cls: type, args: argparse.Namespace) -> Any:
     if unknown:
         raise ValidationError(f"unknown config key(s): {', '.join(unknown)}")
     given.update({k: v for k, v in vars(args).items() if k in names and v is not None})
-    hints = get_type_hints(cls)
+    hints = _hints(cls)
     values = {}
     for f in fields(cls):
         if given.get(f.name) is not None:

@@ -85,14 +85,17 @@ def standardize(coef: np.ndarray) -> np.ndarray:
 def _frechet2_block(rng: np.random.Generator, rows: int, d: int) -> np.ndarray:
     # Inverse transform; rows are drawn in C order, so each row consumes
     # its d uniforms in column order.  rng.random lives in [0, 1): the
-    # zero guard redraws rather than clamping.
+    # zero guard redraws rather than clamping.  The transform runs in
+    # place on the draws, with the bits of ``(-np.log(u)) ** -0.5``.
     u = rng.random((rows, d))
     while True:
         zero = u == 0.0
         if not zero.any():
             break
         u[zero] = rng.random(int(zero.sum()))
-    return (-np.log(u)) ** -0.5
+    np.log(u, out=u)
+    np.negative(u, out=u)
+    return np.power(u, -0.5, out=u)
 
 
 def simulate(coef: np.ndarray, seed: int, n: int, workers: int = 1) -> np.ndarray:
@@ -112,7 +115,12 @@ def simulate(coef: np.ndarray, seed: int, n: int, workers: int = 1) -> np.ndarra
         workers: thread count for block generation.
 
     Returns:
-        (n, d) sample matrix.
+        (n, d) sample matrix, the transposed view of one column-major
+        (d, n) buffer: each block's product writes its columns into it
+        (``_kernels.max_times_product(..., out=)``), so the sample costs
+        one allocation and the column-wise providers read it without a
+        copy.  The values, and the bytes a CSV of them takes, are those
+        of a row-major sample.
     """
     a = _as_sampling_matrix(coef)
     d = a.shape[0]
@@ -123,14 +131,14 @@ def simulate(coef: np.ndarray, seed: int, n: int, workers: int = 1) -> np.ndarra
     at = np.ascontiguousarray(a.T)
     n_blocks = (n + SIMULATION_BLOCK - 1) // SIMULATION_BLOCK
     children = np.random.SeedSequence(int(seed)).spawn(n_blocks)
-    out = np.empty((n, d), dtype=np.float64)
+    cols = np.empty((d, n), dtype=np.float64)
 
     def fill(b: int) -> None:
         start = b * SIMULATION_BLOCK
         stop = min(start + SIMULATION_BLOCK, n)
         rng = np.random.Generator(np.random.Philox(children[b]))
         z = _frechet2_block(rng, stop - start, d)
-        out[start:stop] = _kernels.max_times_product(z, at)
+        _kernels.max_times_product(z, at, out=cols[:, start:stop])
 
     if workers > 1 and n_blocks > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -138,7 +146,7 @@ def simulate(coef: np.ndarray, seed: int, n: int, workers: int = 1) -> np.ndarra
     else:
         for b in range(n_blocks):
             fill(b)
-    return out
+    return cols.T
 
 
 def _check_nodes(nodes: Iterable[int], d: int) -> tuple[int, ...]:

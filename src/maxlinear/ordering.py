@@ -160,7 +160,8 @@ class ExactScalings:
 
 def _varying_columns(x: np.ndarray) -> np.ndarray:
     """A finite sample as a contiguous (d, n) array of its columns, none
-    of which is constant."""
+    of which is constant; the transposed view ``simulate`` returns is
+    taken as it is, without a copy."""
     cols = np.ascontiguousarray(_as_sample(x).T)
     top = cols.max(axis=1)
     const = np.flatnonzero(top == cols.min(axis=1))
@@ -217,7 +218,7 @@ class SpectralScalings:
         if factor not in self._inflated_sq:
             _check_factor(factor)
             scaled = factor * self._cols
-            self._inflated_sq[factor] = scaled * scaled
+            self._inflated_sq[factor] = np.multiply(scaled, scaled, out=scaled)
         return self._inflated_sq[factor]
 
     def _group(self, key: frozenset[int]) -> float:
@@ -284,7 +285,8 @@ class FrechetMleScalings:
     def __init__(self, x: np.ndarray) -> None:
         self._cols = _varying_columns(x)
         self._inv = _kernels.inverse_squares(self._cols)
-        self._top_inv = _kernels.inverse_squares(self._cols.max(axis=0))
+        top = self._cols.max(axis=0)
+        self._top_inv = _kernels.inverse_squares(top, out=top)
         self._inflated_inv: dict[float, np.ndarray] = {}
         self._all_node = self._fit(float(self._top_inv.sum() / self._top_inv.shape[0]))
 
@@ -319,7 +321,8 @@ class FrechetMleScalings:
     def _inflated(self, factor: float) -> np.ndarray:
         if factor not in self._inflated_inv:
             _check_factor(factor)
-            self._inflated_inv[factor] = _kernels.inverse_squares(factor * self._cols)
+            scaled = factor * self._cols
+            self._inflated_inv[factor] = _kernels.inverse_squares(scaled, out=scaled)
         return self._inflated_inv[factor]
 
     @_quiet

@@ -85,6 +85,11 @@ def _check_choice(name: str, value: str, allowed: tuple[str, ...]) -> None:
         raise ValidationError(f"{name} must be one of {allowed}, got {value!r}")
 
 
+def _check_at_least(name: str, value: int, low: int) -> None:
+    if value < low:
+        raise ValidationError(f"{name} must be at least {low}, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -97,6 +102,10 @@ class SimulateConfig:
     n: int = 10_000
     seed: int = 0
     workers: int = 1
+
+    def __post_init__(self) -> None:
+        _check_at_least("seed", self.seed, 0)
+        _check_at_least("workers", self.workers, 1)
 
 
 def _resolve_dag(source: str) -> DagStructure:
@@ -365,8 +374,9 @@ class StudyConfig:
     def __post_init__(self) -> None:
         _check_choice("mode", self.mode, STUDY_MODES)
         _check_choice("weights", self.weights, STUDY_WEIGHT_POLICIES)
-        if self.runs < 1:
-            raise ValidationError(f"runs must be at least 1, got {self.runs}")
+        _check_at_least("runs", self.runs, 1)
+        _check_at_least("seed", self.seed, 0)
+        _check_at_least("workers", self.workers, 1)
         if not self.sizes or min(self.sizes) < 2:
             raise ValidationError(
                 f"sizes must be one or more sample sizes of at least 2, got {self.sizes}"
@@ -395,14 +405,16 @@ def _study_replicate(
     seed_seq: np.random.SeedSequence,
     size: int,
     rcfg: ReorderConfig,
-    weight_policy: str,
+    preset: np.ndarray | None,
     mode: str,
 ) -> tuple[bool, bool]:
     """One study run: pick weights per policy, fresh sample, threshold ordering.
 
-    ``weight_policy="preset"`` keeps the shipped ten-node matrix fixed across
-    runs so that only sampling noise varies between replicates; ``"paper"``
-    redraws the squared edge weights from the discrete grid for every run.
+    ``preset`` is the shipped ten-node matrix under weight policy
+    ``"preset"``, resolved once per study and kept fixed across runs so that
+    only sampling noise varies between replicates; ``None`` (policy
+    ``"paper"``) redraws the squared edge weights from the discrete grid for
+    every run.
     (Redrawing admits weight draws whose exact generation margins fall inside
     the acceptance bands, which caps the achievable success ratio near 70%
     no matter how large the sample is.)
@@ -412,8 +424,8 @@ def _study_replicate(
     generation partition equals the true one.
     """
     weight_seed, data_seed = seed_seq.spawn(2)
-    if weight_policy == "preset":
-        coef = ten_node_model()
+    if preset is not None:
+        coef = preset
     else:
         dag = ten_node_dag()
         weights = random_weights(dag, np.random.default_rng(weight_seed))
@@ -439,10 +451,11 @@ def run_study(cfg: StudyConfig) -> StudyResult:
 
     jobs = [(size, run) for size in cfg.sizes for run in range(cfg.runs)]
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(jobs))
+    preset = ten_node_model() if cfg.weights == "preset" else None
 
     def work(idx: int) -> tuple[bool, bool]:
         size, _ = jobs[idx]
-        return _study_replicate(seeds[idx], size, rcfg, cfg.weights, cfg.mode)
+        return _study_replicate(seeds[idx], size, rcfg, preset, cfg.mode)
 
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
@@ -517,6 +530,7 @@ class ExtremesConfig:
 
     def __post_init__(self) -> None:
         _check_choice("source", self.source, EXTREMES_SOURCES)
+        _check_at_least("seed", self.seed, 0)
 
 
 def _parse_pairs(spec: str, d: int) -> list[tuple[int, int]]:
@@ -532,8 +546,10 @@ def _parse_pairs(spec: str, d: int) -> list[tuple[int, int]]:
             i, j = int(left), int(right)
         except ValueError as exc:
             raise ValidationError(f"cannot parse pair {token!r}; use 'i-j'") from exc
-        if not (1 <= i <= d and 1 <= j <= d) or i == j:
+        if not (1 <= i <= d and 1 <= j <= d):
             raise ValidationError(f"pair {token!r} out of range for d={d}")
+        if i == j:
+            raise ValidationError(f"pair {token!r} needs two distinct columns")
         if (i, j) in pairs:
             raise ValidationError(f"pair {token!r} is listed twice")
         pairs.append((i, j))

@@ -226,6 +226,41 @@ def test_study_rejects_empty_runs(tmp_path, option, capsys):
     assert not (out / "study.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--workers", "0"], "workers must be at least 1, got 0"),
+        (["simulate", "--workers", "-3"], "workers must be at least 1, got -3"),
+        (["study", "--workers", "0"], "workers must be at least 1, got 0"),
+        (["simulate", "--seed", "-1"], "seed must be at least 0, got -1"),
+        (["study", "--seed", "-1"], "seed must be at least 0, got -1"),
+    ],
+    ids=["simulate-workers-zero", "simulate-workers-negative", "study-workers-zero",
+         "simulate-seed-negative", "study-seed-negative"],
+)
+def test_workers_and_seed_out_of_range_exit_2(tmp_path, argv, message, capsys):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_extremes_rejects_a_negative_seed_and_a_one_column_pair(
+    tmp_path, small_sample_csv, capsys
+):
+    out = tmp_path / "ext.csv"
+    argv = ["extremes", "--data", str(small_sample_csv), "--out", str(out)]
+    # the config check fires before the model file is read
+    model = str(tmp_path / "model.json")
+    assert main([*argv, "--source", "simulated", "--model", model, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be at least 0, got -1\n"
+    assert main([*argv, "--pairs", "1-1"]) == 2
+    assert capsys.readouterr().err == "error: pair '1-1' needs two distinct columns\n"
+    assert main([*argv, "--pairs", "1-11"]) == 2
+    assert "out of range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("how", ["flag", "config"])
 def test_transform_rejects_empty_ops(tmp_path, small_sample_csv, how, capsys):
     out = tmp_path / "trans.csv"
@@ -381,6 +416,20 @@ def test_flags_are_the_config_fields(command):
     with pytest.raises(SystemExit) as exc:
         main([command, "--help"])
     assert exc.value.code == 0
+
+
+def test_parser_is_built_once_and_survives_a_failed_parse(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    outs = [tmp_path / "a", tmp_path / "b"]
+    argv = ["study", "--sizes", "300", "--runs", "2", "--detail"]
+    assert main([*argv, "--out", str(outs[0])]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["study", "--bogus", "1"])
+    assert exc.value.code == 2
+    assert main([*argv, "--out", str(outs[1])]) == 0
+    for name in ("study.csv", "study.json", "study_runs.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    capsys.readouterr()
 
 
 def _config_file(tmp_path, payload):

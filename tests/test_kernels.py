@@ -193,6 +193,45 @@ def test_max_times_product_equals_dense_reference(kind, seed, n, q, m):
     assert np.array_equal(got, want)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(["sparse", "zero-columns", "clipped"]),
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 300),
+    q=st.integers(1, 12),
+    m=st.integers(1, 12),
+)
+def test_max_times_product_into_a_column_slice_equals_the_allocating_form(
+    kind, seed, n, q, m
+):
+    # out= takes a column slice of a wider buffer holding stale values, as
+    # model.simulate passes it; the columns outside the slice stay as they were
+    left, right = _sparse_factors(kind, seed, n, q, m)
+    buf = np.full((m, n + 7), np.nan)
+    with np.errstate(over="ignore", under="ignore"):
+        want = kern.max_times_product(left, right)
+        got = kern.max_times_product(left, right, out=buf[:, 3 : 3 + n])
+    assert np.array_equal(got, want)
+    assert np.shares_memory(got, buf)
+    assert np.isnan(buf[:, :3]).all() and np.isnan(buf[:, 3 + n :]).all()
+
+
+def test_inverse_squares_in_place_equals_the_allocating_form():
+    # zeros, negatives, subnormals and the values whose inverse square
+    # overflows to inf, in a contiguous table as the providers hold them
+    x = _adjacent_doubles()
+    x = np.concatenate([x, -x[::3]])
+    x = np.random.default_rng(2).permutation(x)[: 10 * (x.size // 10)].reshape(10, -1)
+    with np.errstate(divide="ignore", over="ignore"):
+        want = kern.inverse_squares(x)
+        table = x.copy()
+        got = kern.inverse_squares(table, out=table)
+    assert got is table
+    np.testing.assert_array_equal(got, want)
+    assert np.array_equal(np.isnan(got), x <= 0.0)
+    assert np.isinf(got).any() and (got == 0.0).any()
+
+
 # ---------------------------------------------------------------------------
 # bit identity of the banded scaling_sum with the row-major reduction
 

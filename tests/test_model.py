@@ -22,6 +22,7 @@ from maxlinear import (
     ten_node_model,
 )
 from maxlinear.model import SIMULATION_BLOCK, _frechet2_block
+from maxlinear.ordering import _varying_columns
 
 from reference import (
     dense_max_times_product,
@@ -125,6 +126,56 @@ def test_simulate_worker_count_invariant():
         rng = np.random.Generator(np.random.Philox(child))
         z = _frechet2_block(rng, rows.stop - rows.start, 10)
         assert np.array_equal(serial[rows], dense_max_times_product(z, at))
+
+
+class _ZeroFirstDraw:
+    """A generator stand-in whose first draw holds zeros, so the redraw
+    loop of ``_frechet2_block`` runs; it keeps a copy of every draw."""
+
+    def __init__(self, seed: int) -> None:
+        self._rng = np.random.default_rng(seed)
+        self.draws: list[np.ndarray] = []
+
+    def random(self, size):
+        u = self._rng.random(size)
+        if not self.draws:
+            u.flat[::7] = 0.0
+        self.draws.append(u.copy())
+        return u
+
+
+def test_frechet2_block_in_place_equals_the_allocating_transform():
+    rng = _ZeroFirstDraw(4)
+    z = _frechet2_block(rng, 1000, 10)
+    first, *redraws = rng.draws
+    assert len(redraws) == 1 and not np.any(redraws[0] == 0.0)
+    u = first.copy()
+    u[u == 0.0] = redraws[0]
+    np.testing.assert_array_equal(z, (-np.log(u)) ** -0.5)
+    # a generator at the block's real size: the same bits as the allocating form
+    u = np.random.Generator(np.random.Philox(9)).random((SIMULATION_BLOCK, 10))
+    z = _frechet2_block(np.random.Generator(np.random.Philox(9)), SIMULATION_BLOCK, 10)
+    np.testing.assert_array_equal(z, (-np.log(u)) ** -0.5)
+
+
+@pytest.mark.parametrize("n", [SIMULATION_BLOCK, SIMULATION_BLOCK + 1])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_simulate_column_buffer_equals_row_major_reference(n, workers):
+    coef = ten_node_model()
+    x = simulate(coef, 21, n, workers=workers)
+    at = np.ascontiguousarray(coef.T)
+    blocks = []
+    for b, child in enumerate(np.random.SeedSequence(21).spawn(-(-n // SIMULATION_BLOCK))):
+        rows = min(SIMULATION_BLOCK, n - b * SIMULATION_BLOCK)
+        z = _frechet2_block(np.random.Generator(np.random.Philox(child)), rows, 10)
+        blocks.append(dense_max_times_product(z, at))
+    want = np.concatenate(blocks)  # row-major
+    assert want.flags.c_contiguous and x.shape == want.shape
+    np.testing.assert_array_equal(x, want)
+    # the sample is the transposed view of one (d, n) column buffer, which
+    # the column-wise providers take without a copy
+    assert x.T.flags.c_contiguous
+    assert np.shares_memory(_varying_columns(x), x)
 
 
 def test_simulate_prefix_stable_within_block(two_node_model):

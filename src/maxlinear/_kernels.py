@@ -192,7 +192,11 @@ def inverse_squares(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def pass_invsq_means(
-    inv: np.ndarray, inflated: np.ndarray, top: np.ndarray, head: Sequence[int]
+    inv: np.ndarray,
+    inflated: np.ndarray,
+    top: np.ndarray,
+    head: Sequence[int],
+    scratch: np.ndarray,
 ) -> dict[int, tuple[float, float]]:
     """Both inverse-square means of every candidate of one ordering pass.
 
@@ -205,7 +209,8 @@ def pass_invsq_means(
     returns for the weights that are 1 on head ∪ {m} and 0 elsewhere,
     and for the weights that are ``a`` on head ∪ {m} and 1 elsewhere.
     ``rescaled`` is only exact when ``group`` is not nan, which is all a
-    pass needs.
+    pass needs.  ``scratch`` is a float64 (3, n) array the pass
+    overwrites, so that it allocates no n-length temporary.
 
     No power is taken here: the head's row minimum of each table is
     formed once (``top`` folded into the inflated one), and a candidate
@@ -233,12 +238,12 @@ def pass_invsq_means(
     """
     n = inv.shape[1]
     in_head = set(head)
-    h = np.full(n, np.nan)
-    hr = top.copy()
+    h, hr, tmp = scratch
+    h.fill(np.nan)
+    np.copyto(hr, top)
     for j in in_head:
         np.fmin(h, inv[j], out=h)
         np.fmin(hr, inflated[j], out=hr)
-    tmp = np.empty(n)
     out: dict[int, tuple[float, float]] = {}
     for m in range(inv.shape[0]):
         if m not in in_head:

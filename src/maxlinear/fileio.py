@@ -16,15 +16,29 @@ Formats are deliberately small and stable:
 The ``*_auto`` readers pick JSON for a ``.json`` suffix and the text or
 CSV format otherwise.  All writes are deterministic: fixed float
 formatting, no timestamps.
+
+A large sample CSV is written on two CPUs (``_forked_half``): for a
+write of at least ``_SPLIT_WRITE_VALUES`` values, one forked child
+process formats the second half of the rows and sends the text back
+over a pipe while this process formats and writes the first half.  The
+split is taken only where ``os.fork`` exists and this process may run
+on two or more CPUs; matrices, reads and every other file stay serial.
+Each field is formatted on its own, so the bytes written do not depend
+on the split, the CPU count or ``--workers``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import gc
 import json
+import os
+import shutil
+import signal
 import warnings
 from pathlib import Path
-from typing import Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +51,12 @@ FLOAT_FMT = "%.17g"
 # Rows per formatted chunk of a CSV write: keeps the format string and
 # the text written at once to a few hundred KB.
 _WRITE_BLOCK = 1024
+# Smallest sample CSV write, in values, whose second half a forked child
+# formats.  The fork, the pipe and the reaping cost about 5 ms in a 45 MB
+# process, which half the formatting saves at about 16,000 values (2 CPUs).
+_SPLIT_WRITE_VALUES = 1 << 15
+# The most of the child's output this process holds at once.
+_CHUNK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -88,11 +108,12 @@ def read_dag_auto(path: str | Path) -> DagStructure:
 def write_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:
     a = np.asarray(matrix, dtype=np.float64)
     with open(path, "w", newline="") as fh:
-        _write_rows(fh, a)
+        fh.writelines(_row_blocks(a))
 
 
-def _write_rows(fh, a: np.ndarray) -> None:
-    """Rows in the line format of ``csv.writer``: comma-separated, CRLF.
+def _row_blocks(a: np.ndarray) -> Iterator[str]:
+    """Rows in the line format of ``csv.writer``: comma-separated, CRLF,
+    as one string per ``_WRITE_BLOCK`` rows.
 
     The bytes are those of ``np.savetxt`` with ``fmt=FLOAT_FMT``, which
     formats one row of numpy scalars at a time; here one ``%`` format
@@ -101,7 +122,7 @@ def _write_rows(fh, a: np.ndarray) -> None:
     row = ",".join([FLOAT_FMT] * a.shape[1]) + "\r\n"
     for start in range(0, a.shape[0], _WRITE_BLOCK):
         block = a[start : start + _WRITE_BLOCK]
-        fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+        yield (row * len(block)) % tuple(block.ravel().tolist())
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:
@@ -138,6 +159,61 @@ def default_column_names(d: int) -> list[str]:
     return [f"X{i}" for i in range(1, d + 1)]
 
 
+def _two_cpus() -> bool:
+    """Whether a forked child process can run beside this one."""
+    return (
+        hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+    )
+
+
+@contextlib.contextmanager
+def _forked_half(produce: Callable[[BinaryIO], None]) -> Iterator[BinaryIO]:
+    """Run ``produce(pipe)`` in a forked child process while the block
+    runs here; yields the read end of the pipe the child writes to.
+
+    The child leaves only through ``os._exit``, with status 0 only when
+    ``produce`` returned: it flushes no buffer it inherited (an open
+    output file would get its header twice), runs no exit handler and
+    never returns into the caller; it collects no garbage either, so no
+    finalizer of an inherited object runs there.  The child is always
+    reaped.  When the block raises, ``KeyboardInterrupt`` included, the
+    child is killed first and the exception goes on; a child that did
+    not exit with status 0 after a block that did not raise is a
+    ``ChildProcessError``, and a failed fork an ``OSError`` as well.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            gc.disable()
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                produce(pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    try:
+        with open(read_fd, "rb") as pipe:
+            os.close(write_fd)
+            yield pipe
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    _, status = os.waitpid(pid, 0)
+    if status != 0:
+        code = os.waitstatus_to_exitcode(status)
+        raise ChildProcessError(f"the CSV helper process exited with code {code}")
+
+
 def write_sample_csv(
     x: np.ndarray, path: str | Path, columns: Sequence[str] | None = None
 ) -> None:
@@ -149,7 +225,20 @@ def write_sample_csv(
         raise ValidationError("column-name count does not match sample width")
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(names)
-        _write_rows(fh, a)
+        if a.size < _SPLIT_WRITE_VALUES or not _two_cpus():
+            fh.writelines(_row_blocks(a))
+            return
+        half = a.shape[0] // 2
+
+        def send(pipe: BinaryIO) -> None:
+            # every block first: a full pipe would hold the child up
+            # until this process has written its own half
+            pipe.writelines([text.encode(fh.encoding) for text in _row_blocks(a[half:])])
+
+        with _forked_half(send) as pipe:
+            fh.writelines(_row_blocks(a[:half]))
+            fh.flush()
+            shutil.copyfileobj(pipe, fh.buffer, _CHUNK)
 
 
 def read_sample_csv(path: str | Path) -> tuple[np.ndarray, list[str]]:

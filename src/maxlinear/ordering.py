@@ -288,6 +288,7 @@ class FrechetMleScalings:
         top = self._cols.max(axis=0)
         self._top_inv = _kernels.inverse_squares(top, out=top)
         self._inflated_inv: dict[float, np.ndarray] = {}
+        self._pass_scratch = np.empty((3, self._top_inv.shape[0]))
         self._all_node = self._fit(float(self._top_inv.sum() / self._top_inv.shape[0]))
 
     @property
@@ -331,7 +332,9 @@ class FrechetMleScalings:
     ) -> dict[int, tuple[float, float]]:
         inflated = self._inflated(float(factor))
         head = [int(v) - 1 for v in ordered]
-        means = _kernels.pass_invsq_means(self._inv, inflated, self._top_inv, head)
+        means = _kernels.pass_invsq_means(
+            self._inv, inflated, self._top_inv, head, self._pass_scratch
+        )
         return {
             j + 1: (self._fit(group), self._fit(rescaled))
             for j, (group, rescaled) in means.items()

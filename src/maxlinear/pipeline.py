@@ -104,6 +104,7 @@ class SimulateConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        _check_at_least("n", self.n, 1)
         _check_at_least("seed", self.seed, 0)
         _check_at_least("workers", self.workers, 1)
 

@@ -245,6 +245,14 @@ def test_workers_and_seed_out_of_range_exit_2(tmp_path, argv, message, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_simulate_rejects_n_below_one_before_making_its_directory(tmp_path, n, capsys):
+    out = tmp_path / "out"
+    assert main(["simulate", "--out", str(out), "--n", n]) == 2
+    assert capsys.readouterr().err == f"error: n must be at least 1, got {n}\n"
+    assert not out.exists()
+
+
 def test_extremes_rejects_a_negative_seed_and_a_one_column_pair(
     tmp_path, small_sample_csv, capsys
 ):
@@ -644,6 +652,29 @@ def test_out_of_range_sample_prints_only_the_error(tmp_path, scalings, sample, t
     assert proc.returncode == 3
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith(f"error: {text}")
+
+
+def test_split_csv_commands_are_quiet_in_dev_mode(tmp_path):
+    # -X dev -W error turns an unclosed pipe (ResourceWarning) or a fork
+    # warning into a failure; 5000 rows of ten make the sample write
+    # large enough to take a forked helper on two CPUs
+    paths = [str(Path(maxlinear.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    sim, learn = tmp_path / "sim", tmp_path / "learn"
+    for argv in (
+        ["simulate", "--out", str(sim), "--n", "5000"],
+        ["learn", "--out", str(learn), "--data", str(sim / "sample.csv")],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "maxlinear.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert re.fullmatch(rf"{argv[0]}: \d+\.\d{{3}}s\n", proc.stderr), proc.stderr
+    assert sorted(os.listdir(sim)) == ["model.json", "sample.csv"]
 
 
 @pytest.mark.parametrize("scalings", ["mle", "spectral"])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from maxlinear import (
     learn_generations,
     ten_node_dag,
 )
+from maxlinear import fileio
 from maxlinear.fileio import (
     default_column_names,
     learn_result_payload,
@@ -193,9 +195,22 @@ def test_sample_and_matrix_csv_layout(tmp_path):
     assert m.read_bytes() == want.encode().split(b"\r\n", 1)[1]
 
 
+@pytest.fixture()
+def forks(monkeypatch):
+    """Counts the forks made, and checks that none is left unreaped."""
+    made = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: made.append(1) or fork())
+    yield made
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("d", [1, 10])
-@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])
-def test_csv_rows_are_savetxt_bytes(tmp_path, n, d):
+@pytest.mark.parametrize(
+    "n", [1, 1023, 1024, 1025, 2047, 2048, 2049, 3276, 3277, 4097, 100_000]
+)
+def test_csv_rows_are_savetxt_bytes(tmp_path, monkeypatch, forks, n, d):
     special = [np.inf, np.nan, -0.0, 5e-324, 1e300, 0.1]
     rng = np.random.default_rng(n * d)
     x = rng.standard_exponential((n, d)) ** -0.5
@@ -205,9 +220,56 @@ def test_csv_rows_are_savetxt_bytes(tmp_path, n, d):
     want = buf.getvalue().encode()
     p = tmp_path / "x.csv"
     write_sample_csv(x, p)
-    assert p.read_bytes().split(b"\r\n", 1)[1] == want
+    written = p.read_bytes()
+    assert written.split(b"\r\n", 1)[1] == want
+    assert written.count(b"X") == d  # the header, once
+    # a sample of at least _SPLIT_WRITE_VALUES values (3277 rows of ten)
+    # formats its second half in a child; a matrix never does
+    assert len(forks) == (n * d >= fileio._SPLIT_WRITE_VALUES)
     write_matrix_csv(x, p)
     assert p.read_bytes() == want
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    write_sample_csv(x, p)
+    assert p.read_bytes() == written
+    assert len(forks) == (n * d >= fileio._SPLIT_WRITE_VALUES)
+    assert os.listdir(tmp_path) == ["x.csv"]
+
+
+def _raising(fn, error, *, in_child):
+    """``fn``, raising ``error`` in any forked child (``in_child``) or in
+    this process only."""
+    parent = os.getpid()
+
+    def wrapper(*args):
+        if (os.getpid() != parent) == in_child:
+            raise error
+        return fn(*args)
+
+    return wrapper
+
+
+def test_sample_csv_write_child_failure_is_an_os_error(tmp_path, monkeypatch, forks):
+    x = np.ones((4096, 10))
+    p = tmp_path / "x.csv"
+    child_fails = _raising(fileio._row_blocks, RuntimeError("child"), in_child=True)
+    monkeypatch.setattr(fileio, "_row_blocks", child_fails)
+    with pytest.raises(OSError, match="exited with code 1"):
+        write_sample_csv(x, p)
+    assert len(forks) == 1
+    assert os.listdir(tmp_path) == ["x.csv"]
+    assert p.read_bytes().count(b"X") == 10  # the header, once
+
+
+@pytest.mark.parametrize("error", [KeyboardInterrupt(), ValueError("parent")])
+def test_sample_csv_write_interrupted_here_kills_the_child(tmp_path, monkeypatch, forks, error):
+    x = np.ones((4096, 10))
+    p = tmp_path / "x.csv"
+    monkeypatch.setattr(fileio, "_row_blocks", _raising(fileio._row_blocks, error, in_child=False))
+    with pytest.raises(type(error)):
+        write_sample_csv(x, p)
+    assert len(forks) == 1
+    assert os.listdir(tmp_path) == ["x.csv"]
+    assert p.read_bytes().count(b"X") == 10  # the header, once
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,7 @@ HELP = {
     "weights": "preset, paper (redrawn at random), unit or a matrix file; study: preset or paper",
     "n": "number of observations",
     "seed": "random seed",
-    "workers": "worker threads",
+    "workers": "accepted and checked (>= 1) but unused: study runs on one thread",
     "data": "sample CSV (learn: estimated mode)",
     "model": "coefficient matrix file (learn: exact-scalings mode; extremes: simulated source)",
     "k": "radial threshold count for --scalings spectral; None means ceil(sqrt(n))",

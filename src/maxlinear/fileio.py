@@ -24,7 +24,7 @@ over a pipe while this process formats and writes the first half.  The
 split is taken only where ``os.fork`` exists and this process may run
 on two or more CPUs; matrices, reads and every other file stay serial.
 Each field is formatted on its own, so the bytes written do not depend
-on the split, the CPU count or ``--workers``.
+on the split or the CPU count.
 """
 
 from __future__ import annotations
@@ -302,10 +302,12 @@ def learn_result_payload(result: LearnResult, mode: str) -> dict:
 def write_dot(
     coef: np.ndarray, path: str | Path, labels: Sequence[str] | None = None
 ) -> None:
-    """DOT graph of the DAG implied by a coefficient matrix.
+    """DOT graph of the support of a coefficient matrix.
 
     Edge j -> i appears exactly when the (i, j) off-diagonal entry is
-    positive.
+    positive.  For a max-linear coefficient matrix that support is the
+    ancestral relation, so the graph holds an edge from every ancestor,
+    not only the DAG's edges.
     """
     a = np.asarray(coef, dtype=np.float64)
     d = a.shape[0]

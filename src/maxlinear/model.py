@@ -18,7 +18,6 @@ and ordering modules recover from data.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,8 +25,9 @@ import numpy as np
 from . import _kernels
 from .errors import ValidationError
 
-# Rows are generated in independently seeded blocks of this size, so a
-# sample is reproducible no matter how many workers draw it.
+# Rows are generated in blocks of this size, each from its own child of
+# the master seed: the block size fixes the random stream, and so the
+# sample's bytes.
 SIMULATION_BLOCK = 16384
 
 
@@ -98,12 +98,12 @@ def _frechet2_block(rng: np.random.Generator, rows: int, d: int) -> np.ndarray:
     return np.power(u, -0.5, out=u)
 
 
-def simulate(coef: np.ndarray, seed: int, n: int, workers: int = 1) -> np.ndarray:
+def simulate(coef: np.ndarray, seed: int, n: int) -> np.ndarray:
     """Draw n observations of the max-linear vector ``X = A x_max Z``.
 
     Innovations are generated in fixed-size blocks, each from a child
-    seed spawned off the master seed, so the result is identical for
-    any ``workers`` count and can be regenerated block by block.
+    seed spawned off the master seed, so any block can be regenerated
+    on its own.
 
     The matrix needs only to be square, finite and non-negative: a zero
     diagonal entry (as in a clipped estimate) is sampled as it stands.
@@ -112,7 +112,6 @@ def simulate(coef: np.ndarray, seed: int, n: int, workers: int = 1) -> np.ndarra
         coef: d x d coefficient matrix.
         seed: master seed of the innovation stream.
         n: number of rows, >= 1.
-        workers: thread count for block generation.
 
     Returns:
         (n, d) sample matrix, the transposed view of one column-major
@@ -132,20 +131,11 @@ def simulate(coef: np.ndarray, seed: int, n: int, workers: int = 1) -> np.ndarra
     n_blocks = (n + SIMULATION_BLOCK - 1) // SIMULATION_BLOCK
     children = np.random.SeedSequence(int(seed)).spawn(n_blocks)
     cols = np.empty((d, n), dtype=np.float64)
-
-    def fill(b: int) -> None:
+    for b, child in enumerate(children):
         start = b * SIMULATION_BLOCK
         stop = min(start + SIMULATION_BLOCK, n)
-        rng = np.random.Generator(np.random.Philox(children[b]))
-        z = _frechet2_block(rng, stop - start, d)
+        z = _frechet2_block(np.random.Generator(np.random.Philox(child)), stop - start, d)
         _kernels.max_times_product(z, at, out=cols[:, start:stop])
-
-    if workers > 1 and n_blocks > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(n_blocks)))
-    else:
-        for b in range(n_blocks):
-            fill(b)
     return cols.T
 
 

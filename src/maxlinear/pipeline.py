@@ -27,8 +27,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -101,12 +100,10 @@ class SimulateConfig:
     weights: str = "preset"  # preset | paper | unit | matrix file path
     n: int = 10_000
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self) -> None:
         _check_at_least("n", self.n, 1)
         _check_at_least("seed", self.seed, 0)
-        _check_at_least("workers", self.workers, 1)
 
 
 def _resolve_dag(source: str) -> DagStructure:
@@ -142,7 +139,7 @@ def run_simulate(cfg: SimulateConfig) -> dict:
     weights = _resolve_weights(cfg, dag, np.random.default_rng(weight_seed))
     coef = standardize(path_coefficients(dag, weights))
 
-    x = simulate(coef, int(data_seed.generate_state(1)[0]), cfg.n, workers=cfg.workers)
+    x = simulate(coef, int(data_seed.generate_state(1)[0]), cfg.n)
     columns = fileio.default_column_names(dag.node_count)
     fileio.write_sample_csv(x, out / "sample.csv", columns)
 
@@ -167,6 +164,7 @@ def run_simulate(cfg: SimulateConfig) -> dict:
 
 LEARN_SCALINGS = ("mle", "spectral")
 LEARN_TRANSFORMS = ("frechet", "negate-frechet", "none")
+LEARN_DATA_OPTIONS = ("k", "scalings", "transform")  # no effect on model=
 
 
 @dataclass(frozen=True)
@@ -264,6 +262,16 @@ def _transform_sample(x: np.ndarray, how: str) -> np.ndarray:
 def run_learn(cfg: LearnConfig) -> dict:
     if (cfg.data is None) == (cfg.model is None):
         raise ValidationError("exactly one of data= or model= must be given")
+    if cfg.model is not None:
+        given = [
+            f.name
+            for f in fields(cfg)
+            if f.name in LEARN_DATA_OPTIONS and getattr(cfg, f.name) != f.default
+        ]
+        if given:
+            raise ValidationError(
+                f"option(s) {', '.join(given)} apply only to data=, not to model="
+            )
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -369,7 +377,7 @@ class StudyConfig:
     eps3: float | None = None
     mode: str = "estimated"  # one of STUDY_MODES: the scaling source
     weights: str = "preset"  # preset (one fixed matrix) | paper (redrawn per run)
-    workers: int = 1
+    workers: int = 1  # checked, then unused: replicates run on the calling thread
     detail: bool = False
 
     def __post_init__(self) -> None:
@@ -450,19 +458,14 @@ def run_study(cfg: StudyConfig) -> StudyResult:
     out.mkdir(parents=True, exist_ok=True)
     rcfg = _reorder_config(cfg, ReorderConfig.simulation_preset())
 
-    jobs = [(size, run) for size in cfg.sizes for run in range(cfg.runs)]
+    jobs = [size for size in cfg.sizes for _ in range(cfg.runs)]
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(jobs))
     preset = ten_node_model() if cfg.weights == "preset" else None
 
-    def work(idx: int) -> tuple[bool, bool]:
-        size, _ = jobs[idx]
-        return _study_replicate(seeds[idx], size, rcfg, preset, cfg.mode)
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            flags = list(pool.map(work, range(len(jobs))))
-    else:
-        flags = [work(i) for i in range(len(jobs))]
+    flags = [
+        _study_replicate(seed, size, rcfg, preset, cfg.mode)
+        for seed, size in zip(seeds, jobs)
+    ]
 
     rows = []
     outcomes = []
@@ -535,6 +538,8 @@ class ExtremesConfig:
 
 
 def _parse_pairs(spec: str, d: int) -> list[tuple[int, int]]:
+    if d < 2:
+        raise ValidationError(f"pairs need at least two columns, the sample has {d}")
     if spec == "all":
         return [(i, j) for i in range(1, d + 1) for j in range(i + 1, d + 1)]
     pairs = []

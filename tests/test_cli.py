@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import maxlinear
-from maxlinear import simulate, ten_node_model
+from maxlinear import simulate, ten_node_dag, ten_node_model
 from maxlinear.cli import COMMANDS, build_parser, main
 from maxlinear.fileio import read_sample_csv, write_sample_csv
 from maxlinear.pipeline import LearnConfig, SimulateConfig, run_learn, run_simulate
@@ -95,6 +95,42 @@ def test_learn_from_model_writes_only_true_edges(tmp_path, sim_dir):
     got = {tuple(int(n) for n in re.findall(r"n(\d+)", line)) for line in dot.splitlines() if "->" in line}
     assert len(want) == 25
     assert got == want
+
+
+def test_learn_from_model_dot_holds_the_ancestor_pairs(tmp_path, sim_dir):
+    # the support of the coefficient matrix is the ancestral relation: the
+    # preset's 12 DAG edges and 13 more ancestor pairs
+    out = tmp_path / "learn"
+    assert main(["learn", "--out", str(out), "--model", str(sim_dir / "model.json")]) == 0
+    dot = (out / "model.dot").read_text()
+    got = {tuple(int(n) for n in re.findall(r"n(\d+)", line)) for line in dot.splitlines() if "->" in line}
+    dag = ten_node_dag()
+    want = {(a, v) for v in range(1, 11) for a in dag.ancestors(v)}
+    assert len(want) == 25 and len(dag.edges) == 12 and dag.edges < want
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "option, named",
+    [
+        (["--k", "5"], "k"),
+        (["--scalings", "spectral", "--k", "5"], "k, scalings"),
+        (["--transform", "none"], "transform"),
+    ],
+    ids=["k", "spectral-k", "transform"],
+)
+def test_learn_from_model_rejects_data_only_options(tmp_path, option, named, capsys):
+    model = tmp_path / "model.csv"
+    np.savetxt(model, ten_node_model(), delimiter=",")
+    out = tmp_path / "learn"
+    argv = ["learn", "--out", str(out), "--model", str(model)]
+    assert main([*argv, *option]) == 2
+    assert capsys.readouterr().err == (
+        f"error: option(s) {named} apply only to data=, not to model=\n"
+    )
+    assert not out.exists()
+    # the data-mode defaults, given explicitly, are the plain model run
+    assert main([*argv, "--scalings", "mle", "--transform", "frechet"]) == 0
 
 
 def test_learn_from_model_exact_mode(tmp_path, sim_dir):
@@ -229,19 +265,29 @@ def test_study_rejects_empty_runs(tmp_path, option, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["simulate", "--workers", "0"], "workers must be at least 1, got 0"),
-        (["simulate", "--workers", "-3"], "workers must be at least 1, got -3"),
+        (["simulate", "--workers", "2"], "unrecognized arguments: --workers 2"),
         (["study", "--workers", "0"], "workers must be at least 1, got 0"),
         (["simulate", "--seed", "-1"], "seed must be at least 0, got -1"),
         (["study", "--seed", "-1"], "seed must be at least 0, got -1"),
+        (
+            ["extremes", "--data", "{one_column}"],
+            "pairs need at least two columns, the sample has 1",
+        ),
     ],
-    ids=["simulate-workers-zero", "simulate-workers-negative", "study-workers-zero",
-         "simulate-seed-negative", "study-seed-negative"],
+    ids=["simulate-workers-unknown", "study-workers-zero", "simulate-seed-negative",
+         "study-seed-negative", "extremes-one-column"],
 )
 def test_workers_and_seed_out_of_range_exit_2(tmp_path, argv, message, capsys):
+    one_column = tmp_path / "one.csv"
+    write_sample_csv(simulate(np.eye(1), 0, 20), one_column)
     out = tmp_path / "out"
-    assert main([*argv, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    try:
+        rc = main([*(a.format(one_column=one_column) for a in argv), "--out", str(out)])
+    except SystemExit as exc:  # argparse rejects an unknown option
+        rc = exc.code
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n" or err.endswith(f"\nmaxlinear: error: {message}\n")
     assert not out.exists()
 
 
@@ -652,6 +698,19 @@ def test_out_of_range_sample_prints_only_the_error(tmp_path, scalings, sample, t
     assert proc.returncode == 3
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith(f"error: {text}")
+
+
+def test_cli_import_leaves_out_concurrent_futures():
+    # every command runs on the calling thread, so a CLI start does not
+    # pay for the executor modules
+    paths = [str(Path(maxlinear.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    code = "import sys, maxlinear.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_split_csv_commands_are_quiet_in_dev_mode(tmp_path):

@@ -112,22 +112,6 @@ def test_simulate_frozen_regression(two_node_model):
     assert np.allclose(got, want, atol=1e-8)
 
 
-def test_simulate_worker_count_invariant():
-    # three blocks, the last one short, so workers=2 runs the thread pool
-    coef = ten_node_model()
-    n = 2 * SIMULATION_BLOCK + 5
-    serial = simulate(coef, 3, n, workers=1)
-    assert np.array_equal(serial, simulate(coef, 3, n, workers=2))
-    # and block by block, the dense product of the same innovations
-    children = np.random.SeedSequence(3).spawn(3)
-    at = np.ascontiguousarray(coef.T)
-    for b, child in enumerate(children):
-        rows = slice(b * SIMULATION_BLOCK, min((b + 1) * SIMULATION_BLOCK, n))
-        rng = np.random.Generator(np.random.Philox(child))
-        z = _frechet2_block(rng, rows.stop - rows.start, 10)
-        assert np.array_equal(serial[rows], dense_max_times_product(z, at))
-
-
 class _ZeroFirstDraw:
     """A generator stand-in whose first draw holds zeros, so the redraw
     loop of ``_frechet2_block`` runs; it keeps a copy of every draw."""
@@ -159,10 +143,9 @@ def test_frechet2_block_in_place_equals_the_allocating_transform():
 
 
 @pytest.mark.parametrize("n", [SIMULATION_BLOCK, SIMULATION_BLOCK + 1])
-@pytest.mark.parametrize("workers", [1, 2])
-def test_simulate_column_buffer_equals_row_major_reference(n, workers):
+def test_simulate_column_buffer_equals_row_major_reference(n):
     coef = ten_node_model()
-    x = simulate(coef, 21, n, workers=workers)
+    x = simulate(coef, 21, n)
     at = np.ascontiguousarray(coef.T)
     blocks = []
     for b, child in enumerate(np.random.SeedSequence(21).spawn(-(-n // SIMULATION_BLOCK))):

@@ -118,19 +118,6 @@ def test_simulate_preset_weights_require_preset_dag(tmp_path):
         )
 
 
-def test_simulate_worker_count_does_not_change_sample(tmp_path):
-    one = run_simulate(
-        SimulateConfig(out=str(tmp_path / "w1"), n=400, seed=5, workers=1)
-    )
-    four = run_simulate(
-        SimulateConfig(out=str(tmp_path / "w4"), n=400, seed=5, workers=4)
-    )
-    assert one["coefficients"] == four["coefficients"]
-    a = (tmp_path / "w1" / "sample.csv").read_bytes()
-    b = (tmp_path / "w4" / "sample.csv").read_bytes()
-    assert a == b
-
-
 # ---------------------------------------------------------------------------
 # learn (exact mode): recovery quality
 

@@ -265,6 +265,8 @@ def test_study_rejects_empty_runs(tmp_path, option, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
+        (["simulate", "--workers", "0"], "unrecognized arguments: --workers 0"),
+        (["simulate", "--workers", "-3"], "unrecognized arguments: --workers -3"),
         (["simulate", "--workers", "2"], "unrecognized arguments: --workers 2"),
         (["study", "--workers", "0"], "workers must be at least 1, got 0"),
         (["simulate", "--seed", "-1"], "seed must be at least 0, got -1"),
@@ -274,7 +276,8 @@ def test_study_rejects_empty_runs(tmp_path, option, capsys):
             "pairs need at least two columns, the sample has 1",
         ),
     ],
-    ids=["simulate-workers-unknown", "study-workers-zero", "simulate-seed-negative",
+    ids=["simulate-workers-zero", "simulate-workers-negative", "simulate-workers-unknown",
+         "study-workers-zero", "simulate-seed-negative",
          "study-seed-negative", "extremes-one-column"],
 )
 def test_workers_and_seed_out_of_range_exit_2(tmp_path, argv, message, capsys):

@@ -143,12 +143,13 @@ def test_frechet2_block_in_place_equals_the_allocating_transform():
 
 
 @pytest.mark.parametrize("n", [SIMULATION_BLOCK, SIMULATION_BLOCK + 1])
-def test_simulate_column_buffer_equals_row_major_reference(n):
+@pytest.mark.parametrize("seed", [1, 2])
+def test_simulate_column_buffer_equals_row_major_reference(n, seed):
     coef = ten_node_model()
-    x = simulate(coef, 21, n)
+    x = simulate(coef, seed, n)
     at = np.ascontiguousarray(coef.T)
     blocks = []
-    for b, child in enumerate(np.random.SeedSequence(21).spawn(-(-n // SIMULATION_BLOCK))):
+    for b, child in enumerate(np.random.SeedSequence(seed).spawn(-(-n // SIMULATION_BLOCK))):
         rows = min(SIMULATION_BLOCK, n - b * SIMULATION_BLOCK)
         z = _frechet2_block(np.random.Generator(np.random.Philox(child)), rows, 10)
         blocks.append(dense_max_times_product(z, at))

@@ -28,7 +28,8 @@ each one costs some 200 minor page faults at about 3 us each (2-CPU
 x86-64 host).  Writing in place cut a ``study`` command (sizes 2000 to
 10^4, one run each) from about 1,690 faults to 740-775, and the outputs
 keep their bits: an in-place ufunc runs the same loop on the same
-contiguous rows as the allocating one.
+contiguous rows as the allocating one.  An n-length temporary (80 KB at
+n = 10^4) is reused from the heap, so ``pass_invsq_means`` makes its own.
 
 Callers reach each kernel through this module (``_kernels.<name>``)
 rather than importing the function, so there is one place to replace or
@@ -192,11 +193,7 @@ def inverse_squares(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def pass_invsq_means(
-    inv: np.ndarray,
-    inflated: np.ndarray,
-    top: np.ndarray,
-    head: Sequence[int],
-    scratch: np.ndarray,
+    inv: np.ndarray, inflated: np.ndarray, top: np.ndarray, head: Sequence[int]
 ) -> dict[int, tuple[float, float]]:
     """Both inverse-square means of every candidate of one ordering pass.
 
@@ -209,8 +206,7 @@ def pass_invsq_means(
     returns for the weights that are 1 on head ∪ {m} and 0 elsewhere,
     and for the weights that are ``a`` on head ∪ {m} and 1 elsewhere.
     ``rescaled`` is only exact when ``group`` is not nan, which is all a
-    pass needs.  ``scratch`` is a float64 (3, n) array the pass
-    overwrites, so that it allocates no n-length temporary.
+    pass needs.
 
     No power is taken here: the head's row minimum of each table is
     formed once (``top`` folded into the inflated one), and a candidate
@@ -238,12 +234,12 @@ def pass_invsq_means(
     """
     n = inv.shape[1]
     in_head = set(head)
-    h, hr, tmp = scratch
-    h.fill(np.nan)
-    np.copyto(hr, top)
+    h = np.full(n, np.nan)
+    hr = top.copy()
     for j in in_head:
         np.fmin(h, inv[j], out=h)
         np.fmin(hr, inflated[j], out=hr)
+    tmp = np.empty(n)
     out: dict[int, tuple[float, float]] = {}
     for m in range(inv.shape[0]):
         if m not in in_head:

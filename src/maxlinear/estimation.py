@@ -2,9 +2,9 @@
 
 Observations are decomposed into a radius over a chosen coordinate
 subset and a unit-sphere angle.  The rows whose radii reach the k-th
-largest radius carry the empirical spectral mass; scalings of
-componentwise maxima are averages of the largest squared angular
-component over those rows, scaled by the total mass of the subset.
+largest radius carry the empirical spectral mass and are the only rows
+whose angles are formed; scalings of componentwise maxima average the
+largest squared angular component over them, times the subset's mass.
 
 Two estimator variants exist side by side:
 
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -60,33 +59,25 @@ def _as_sample(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PolarSample:
-    """Polar view of a sample over a coordinate subset.
+    """Exceedances of a sample's polar decomposition over a coordinate subset.
 
-    Rows with zero radius are dropped; ``radii`` and ``angles`` keep
-    the original observation order of the remaining rows.  The
-    exceedance set is every row with radius >= ``threshold_value`` (the
-    k-th largest radius), which on ties can hold more than k rows.
-    ``exceedance_squares`` holds their squared angles, computed on first
-    use and kept, so every estimate read off one decomposition shares them.
+    The exceedance rows are every row whose radius is at least
+    ``threshold_value``, the k-th largest positive radius; on ties that
+    is more than k rows.  ``exceedance_squares`` holds their squared
+    angles, one row each in observation order, so every estimate read
+    off one decomposition shares them.  Only these rows are divided by
+    their radius and squared, the same arithmetic on the same values as
+    forming every angle and selecting afterwards.
     """
 
-    radii: np.ndarray
-    angles: np.ndarray
     subset: tuple[int, ...]
     threshold_count: int
     threshold_value: float
-
-    @property
-    def exceedance_mask(self) -> np.ndarray:
-        return self.radii >= self.threshold_value
+    exceedance_squares: np.ndarray
 
     @property
     def n_exceedances(self) -> int:
-        return int(np.count_nonzero(self.exceedance_mask))
-
-    @cached_property
-    def exceedance_squares(self) -> np.ndarray:
-        return self.angles[self.exceedance_mask] ** 2
+        return self.exceedance_squares.shape[0]
 
 
 def polar_decompose(x: np.ndarray, cols: Sequence[int], k: int) -> PolarSample:
@@ -105,21 +96,19 @@ def polar_decompose(x: np.ndarray, cols: Sequence[int], k: int) -> PolarSample:
     subset = _check_nodes(cols, a.shape[1])
     sub = a[:, [c - 1 for c in subset]]
     radii = np.sqrt((sub**2).sum(axis=1))
-    keep = radii > 0.0
-    if int(np.count_nonzero(keep)) < k:
+    n_pos = int(np.count_nonzero(radii > 0.0))
+    if n_pos < k:
         raise ThresholdError(
-            f"only {int(np.count_nonzero(keep))} rows with positive radius on "
-            f"columns {subset}, need k={k}"
+            f"only {n_pos} rows with positive radius on columns {subset}, need k={k}"
         )
-    radii = radii[keep]
-    angles = sub[keep] / radii[:, None]
-    thr = float(np.partition(radii, radii.shape[0] - k)[radii.shape[0] - k])
+    # with at least k positive radii, the k-th largest radius is positive
+    thr = float(np.partition(radii, a.shape[0] - k)[a.shape[0] - k])
+    rows = np.flatnonzero(radii >= thr)
     return PolarSample(
-        radii=radii,
-        angles=angles,
         subset=subset,
         threshold_count=k,
         threshold_value=thr,
+        exceedance_squares=(sub[rows] / radii[rows, None]) ** 2,
     )
 
 

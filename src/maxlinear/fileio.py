@@ -72,7 +72,12 @@ def read_dag_text(path: str | Path) -> DagStructure:
         if not line:
             continue
         if line.lower().startswith("nodes:"):
-            node_count = int(line.split(":", 1)[1])
+            if node_count is not None:
+                raise FileFormatError(f"second 'nodes:' header: {raw!r}")
+            try:
+                node_count = int(line.split(":", 1)[1])
+            except ValueError as exc:
+                raise FileFormatError(f"cannot parse DAG header: {raw!r}") from exc
             continue
         if "->" not in line:
             raise FileFormatError(f"cannot parse DAG line: {raw!r}")

@@ -74,11 +74,18 @@ def standardize(coef: np.ndarray) -> np.ndarray:
 
     Returns:
         The standardized matrix (new array).
+
+    Raises:
+        ValidationError: a row's squared norm overflows or underflows to 0.
     """
     a = as_coefficient_matrix(coef)
-    norms = (a**2.0).sum(axis=1) ** 0.5
-    if np.any(norms <= 0.0):
-        raise ValidationError("cannot standardize a matrix with a zero row")
+    with np.errstate(over="ignore"):
+        norms = (a**2.0).sum(axis=1) ** 0.5
+    bad = (norms <= 0.0) | ~np.isfinite(norms)
+    if bad.any():
+        row = int(np.argmax(bad))
+        what = "overflows" if norms[row] else "underflows to 0"
+        raise ValidationError(f"cannot standardize row {row + 1}: its squared norm {what}")
     return a / norms[:, None]
 
 

@@ -272,7 +272,7 @@ class FrechetMleScalings:
     whose table also gives the all-node fit, and of the inflated columns
     for each factor a pass has used.  ``pass_scalings`` then fits all
     candidates of a pass from these tables with row minima and sums
-    (``_kernels.pass_invsq_means``), and takes no power itself.
+    (``_kernels.pass_invsq_means``), takes no power and keeps no buffer.
 
     Raises:
         ValidationError: the sample is not a non-empty, finite 2-D matrix.
@@ -288,7 +288,6 @@ class FrechetMleScalings:
         top = self._cols.max(axis=0)
         self._top_inv = _kernels.inverse_squares(top, out=top)
         self._inflated_inv: dict[float, np.ndarray] = {}
-        self._pass_scratch = np.empty((3, self._top_inv.shape[0]))
         self._all_node = self._fit(float(self._top_inv.sum() / self._top_inv.shape[0]))
 
     @property
@@ -332,9 +331,7 @@ class FrechetMleScalings:
     ) -> dict[int, tuple[float, float]]:
         inflated = self._inflated(float(factor))
         head = [int(v) - 1 for v in ordered]
-        means = _kernels.pass_invsq_means(
-            self._inv, inflated, self._top_inv, head, self._pass_scratch
-        )
+        means = _kernels.pass_invsq_means(self._inv, inflated, self._top_inv, head)
         return {
             j + 1: (self._fit(group), self._fit(rescaled))
             for j, (group, rescaled) in means.items()

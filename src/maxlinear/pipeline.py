@@ -36,7 +36,7 @@ import numpy as np
 from . import fileio
 from .asymptotics import recovery_variance_positive
 from .dag import DagStructure, path_coefficients, validate_edge_weights
-from .errors import ValidationError
+from .errors import ThresholdError, ValidationError
 from .estimation import (
     _as_sample,
     default_threshold_count,
@@ -131,14 +131,13 @@ def _resolve_weights(
 
 
 def run_simulate(cfg: SimulateConfig) -> dict:
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     dag = _resolve_dag(cfg.dag)
     weight_seed, data_seed = np.random.SeedSequence(cfg.seed).spawn(2)
     weights = _resolve_weights(cfg, dag, np.random.default_rng(weight_seed))
     coef = standardize(path_coefficients(dag, weights))
 
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
     x = simulate(coef, int(data_seed.generate_state(1)[0]), cfg.n)
     columns = fileio.default_column_names(dag.node_count)
     fileio.write_sample_csv(x, out / "sample.csv", columns)
@@ -565,7 +564,10 @@ def _parse_pairs(spec: str, d: int) -> list[tuple[int, int]]:
 
 
 def _top_pair_rows(x: np.ndarray, i: int, j: int, count: int) -> np.ndarray:
-    r2 = np.square(x[:, i - 1]) + np.square(x[:, j - 1])
+    with np.errstate(over="ignore"):
+        r2 = np.square(x[:, i - 1]) + np.square(x[:, j - 1])
+    if np.isinf(r2).any():  # rows whose r^2 is inf would tie
+        raise ThresholdError(f"squared radii on pair {i}-{j} overflow")
     take = min(count, x.shape[0])
     idx = np.argsort(-r2, kind="stable")[:take]
     return x[idx][:, [i - 1, j - 1]]
@@ -596,20 +598,22 @@ def run_extremes(cfg: ExtremesConfig) -> int:
             raise ValidationError("model matrix shape does not match the data")
         sources.append(("simulated", simulate(a, cfg.seed, n)))
 
+    # ranked before the file is opened, so an overflow writes nothing
+    tops = [(i, j, name, _top_pair_rows(data, i, j, count))
+            for i, j in pairs for name, data in sources]
     out = Path(cfg.out)
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
     written = 0
     with open(out, "w", newline="") as fh:
         fh.write("i,j,source,xi,xj\n")
-        for i, j in pairs:
-            for name, data in sources:
-                for xi, xj in _top_pair_rows(data, i, j, count):
-                    fh.write(
-                        f"{i},{j},{name},{fileio.FLOAT_FMT % xi},"
-                        f"{fileio.FLOAT_FMT % xj}\n"
-                    )
-                    written += 1
+        for i, j, name, rows in tops:
+            for xi, xj in rows:
+                fh.write(
+                    f"{i},{j},{name},{fileio.FLOAT_FMT % xi},"
+                    f"{fileio.FLOAT_FMT % xj}\n"
+                )
+                written += 1
     return written
 
 

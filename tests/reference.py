@@ -174,14 +174,23 @@ def searchsorted_frechet_transform(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def masked_polar_scaling(polar, over: list[int]) -> float:
-    """``estimation.scaling_from_polar`` with the exceedance mask, the
-    angle selection and the squares all recomputed on every call.  Not a
-    plain loop: this is the bit-level oracle for the squares a
-    ``PolarSample`` computes once and shares."""
-    pos = [polar.subset.index(c) for c in over]
-    w2 = polar.angles[polar.exceedance_mask][:, pos] ** 2
-    return float(len(polar.subset) / polar.threshold_count * w2.max(axis=1).sum())
+def masked_polar_scaling(
+    x: np.ndarray, subset: tuple[int, ...], k: int, over: list[int]
+) -> float:
+    """``scaling_from_polar(polar_decompose(x, subset, k), over)`` the
+    long way: every radius of the sample, zero radii dropped, the angle of
+    every remaining row, then the exceedance mask and the squares.  Not a
+    plain loop: this is the bit-level oracle for the decomposition that
+    forms only the exceedance rows and shares their squares."""
+    sub = np.asarray(x, dtype=np.float64)[:, [c - 1 for c in subset]]
+    radii = np.sqrt((sub**2).sum(axis=1))
+    keep = radii > 0.0
+    radii = radii[keep]
+    angles = sub[keep] / radii[:, None]
+    thr = np.partition(radii, radii.shape[0] - k)[radii.shape[0] - k]
+    pos = [subset.index(c) for c in over]
+    w2 = angles[radii >= thr][:, pos] ** 2
+    return float(len(subset) / k * w2.max(axis=1).sum())
 
 
 def per_subset_scaling_vector(provider, order_labels: list[int]) -> np.ndarray:

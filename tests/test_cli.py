@@ -739,6 +739,105 @@ def test_split_csv_commands_are_quiet_in_dev_mode(tmp_path):
     assert sorted(os.listdir(sim)) == ["model.json", "sample.csv"]
 
 
+def _out_of_range_inputs(tmp_path: Path) -> dict[str, Path]:
+    files = {
+        "dag": "nodes: 2\n2 -> 1\n",
+        "huge_weights": "1e200,1e200\n0,1\n",
+        "huge_model": "1e200,0\n1e200,1e200\n",
+        "tiny_model": "1e-200,0\n1e-200,1e-200\n",
+        "huge_diagonal": "1e300,0\n0,1\n",
+        "huge_sample": "X1,X2,X3\n1,2,3\n1e308,1e308,1\n4,5,6\n",
+        "small_sample": "X1,X2\n1,2\n3,4\n5,6\n",
+        "text_header": "nodes: abc\n2 -> 1\n",
+        "second_header": "nodes: 2\nnodes: 3\n2 -> 1\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    return {name: tmp_path / name for name in files}
+
+
+OUT_OF_RANGE_CASES = [
+    pytest.param(
+        ["simulate", "--dag", "{dag}", "--weights", "{huge_weights}"],
+        2,
+        "cannot standardize row 1: its squared norm overflows",
+        id="simulate-weights-overflow",
+    ),
+    pytest.param(
+        ["learn", "--model", "{huge_model}"],
+        2,
+        "cannot standardize row 1: its squared norm overflows",
+        id="learn-model-overflow",
+    ),
+    pytest.param(
+        ["learn", "--model", "{tiny_model}"],
+        2,
+        "cannot standardize row 1: its squared norm underflows to 0",
+        id="learn-model-underflow",
+    ),
+    pytest.param(
+        ["extremes", "--data", "{huge_sample}", "--count", "2"],
+        3,
+        "squared radii on pair 1-2 overflow",
+        id="extremes-overflow",
+    ),
+    pytest.param(
+        ["extremes", "--data", "{small_sample}", "--count", "2",
+         "--source", "simulated", "--model", "{huge_diagonal}"],
+        3,
+        "squared radii on pair 1-2 overflow",
+        id="extremes-simulated-overflow",
+    ),
+    pytest.param(
+        ["simulate", "--dag", "{text_header}"],
+        4,
+        "cannot parse DAG header: 'nodes: abc'",
+        id="dag-header-not-an-integer",
+    ),
+    pytest.param(
+        ["simulate", "--dag", "{second_header}"],
+        4,
+        "second 'nodes:' header: 'nodes: 3'",
+        id="dag-header-twice",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, message", OUT_OF_RANGE_CASES)
+def test_out_of_range_inputs_end_in_one_typed_error(tmp_path, argv, code, message, capsys):
+    # the squares of a weight, a model entry or a sample entry can leave
+    # floating-point range, and a DAG header can be malformed; each ends
+    # in its documented exit code, naming the row, pair or line, with no
+    # output written
+    files = _out_of_range_inputs(tmp_path)
+    out = tmp_path / "out"
+    assert main([*(a.format(**files) for a in argv), "--out", str(out)]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.is_file() and not any(out.glob("*"))
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [c for c in OUT_OF_RANGE_CASES if c.id in ("simulate-weights-overflow", "extremes-overflow")],
+)
+def test_overflowing_inputs_are_quiet_in_dev_mode(tmp_path, argv, code, message):
+    # -W error turns a numpy overflow warning into a traceback
+    files = _out_of_range_inputs(tmp_path)
+    paths = [str(Path(maxlinear.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    argv = [a.format(**files) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "maxlinear.cli", *argv,
+         "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("scalings", ["mle", "spectral"])
 @pytest.mark.parametrize(
     "option",

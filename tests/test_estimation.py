@@ -56,9 +56,8 @@ def test_polar_decompose_tiny_hand_example():
     polar = polar_decompose(TINY, [1, 2], k=2)
     assert polar.threshold_value == 5.0
     assert polar.n_exceedances == 2
-    assert sorted(polar.radii.tolist()) == [1.0, 1.0, 5.0, 10.0]
-    exceed = polar.angles[polar.exceedance_mask]
-    assert np.allclose(exceed, [[0.6, 0.8], [0.6, 0.8]])
+    # rows (3, 4) and (6, 8), radii 5 and 10; rows of radius 1 are not kept
+    assert np.allclose(polar.exceedance_squares, [[0.36, 0.64], [0.36, 0.64]])
 
 
 def test_scaling_from_polar_tiny_values():
@@ -79,7 +78,7 @@ def test_estimate_max_scaling_matches_polar_path():
 def test_polar_drop_zero_radius_rows_and_fail_loudly():
     x = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
     polar = polar_decompose(x, [1, 2], k=1)
-    assert polar.radii.shape == (1,)
+    assert polar.n_exceedances == 1
     with pytest.raises(ThresholdError):
         polar_decompose(x, [1, 2], k=2)
     with pytest.raises(ThresholdError):

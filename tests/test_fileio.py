@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,22 @@ def test_dag_text_bad_edge_line(tmp_path):
         read_dag_text(p)
     p.write_text("nodes: 2\ntwo -> 1\n")
     with pytest.raises(FileFormatError):
+        read_dag_text(p)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("nodes: abc\n2 -> 1\n", "cannot parse DAG header: 'nodes: abc'"),
+        ("nodes:\n2 -> 1\n", "cannot parse DAG header: 'nodes:'"),
+        ("nodes: 2\nnodes: 3\n2 -> 1\n", "second 'nodes:' header: 'nodes: 3'"),
+    ],
+    ids=["not-an-integer", "empty", "twice"],
+)
+def test_dag_text_bad_header(tmp_path, text, message):
+    p = tmp_path / "dag.txt"
+    p.write_text(text)
+    with pytest.raises(FileFormatError, match=re.escape(message)):
         read_dag_text(p)
 
 

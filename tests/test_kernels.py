@@ -110,12 +110,11 @@ def test_pass_invsq_means_hand_values():
         inv, top = kern.inverse_squares(x), kern.inverse_squares(x.max(axis=0))
         inflated = kern.inverse_squares(2.0 * x)
     np.testing.assert_array_equal(inv, [[1.0, 0.25, np.nan], [1 / 16, np.nan, 4.0]])
-    scratch = np.full((3, 3), -1.0)  # stale values the pass overwrites
-    got = kern.pass_invsq_means(inv, inflated, top, [], scratch)
+    got = kern.pass_invsq_means(inv, inflated, top, [])
     # column 0 alone has a row with no positive entry; column 1 alone
     # does too; together every row has one
     assert math.isnan(got[0][0]) and math.isnan(got[1][0])
-    [(group, rescaled)] = kern.pass_invsq_means(inv, inflated, top, [0], scratch).values()
+    [(group, rescaled)] = kern.pass_invsq_means(inv, inflated, top, [0]).values()
     assert group == (4.0**-2 + 2.0**-2 + 0.5**-2) / 3
     assert rescaled == (8.0**-2 + 4.0**-2 + 1.0**-2) / 3
 

@@ -312,10 +312,12 @@ def test_shared_polar_scaling_vector_equals_per_call_squares(preset_model, sampl
         x = np.vstack([x, x])
     labels = [10, 8, 9, 5, 6, 7, 1, 2, 3, 4]
     got = shared_polar_scaling_vector(x, labels, k=71)
-    polar = polar_decompose(x, tuple(range(1, 11)), 71)
-    assert polar.n_exceedances == (72 if sample == "tied-radii" else 71)
+    everything = tuple(range(1, 11))
+    assert polar_decompose(x, everything, 71).n_exceedances == (
+        72 if sample == "tied-radii" else 71
+    )
     want = [
-        masked_polar_scaling(polar, [labels[q - 1] for q in subset_at(i, j, 10)])
+        masked_polar_scaling(x, everything, 71, [labels[q - 1] for q in subset_at(i, j, 10)])
         for i, j in index_pairs(10)
     ]
     assert got.tobytes() == np.array(want).tobytes()

@@ -5,6 +5,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +40,19 @@ def test_select_preset_weights_scores_the_preset():
     assert topo == 1
     assert wins == int(err <= 0.15)
     assert 0.0 < err < 1.0
+
+
+def test_output_digest_is_reproducible():
+    script = _load("output_digest")
+    commands = [
+        ["simulate", "--out", "sim", "--n", "50"],
+        ["learn", "--out", "learn", "--data", "sim/sample.csv"],
+    ]
+    first = script.digest(commands)
+    assert json.dumps(first) == json.dumps(script.digest(commands))
+    assert [record["exit"] for record in first] == [0, 0]
+    assert sorted(first[0]["files"]) == ["sim/model.json", "sim/sample.csv"]
+    assert "learn/report.json" in first[1]["files"]
 
 
 def test_perfbench_tracer_finds_every_traced_name():

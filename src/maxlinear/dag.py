@@ -97,25 +97,22 @@ class DagStructure:
 
     def ancestors(self, node: NodeId) -> frozenset[NodeId]:
         """All nodes with a directed path down to ``node`` (exclusive)."""
-        self._check(node)
-        seen: set[NodeId] = set()
-        stack = list(self._parents[node - 1])
-        while stack:
-            p = stack.pop()
-            if p not in seen:
-                seen.add(p)
-                stack.extend(self._parents[p - 1])
-        return frozenset(seen)
+        return self._reach(node, self._parents)
 
     def descendants(self, node: NodeId) -> frozenset[NodeId]:
+        return self._reach(node, self._children)
+
+    def _reach(self, node: NodeId, links: list[frozenset[NodeId]]) -> frozenset[NodeId]:
+        """Nodes reachable from ``node`` (exclusive) along ``links``, the
+        parent or the child sets indexed by label - 1."""
         self._check(node)
         seen: set[NodeId] = set()
-        stack = list(self._children[node - 1])
+        stack = list(links[node - 1])
         while stack:
-            c = stack.pop()
-            if c not in seen:
-                seen.add(c)
-                stack.extend(self._children[c - 1])
+            n = stack.pop()
+            if n not in seen:
+                seen.add(n)
+                stack.extend(links[n - 1])
         return frozenset(seen)
 
     def initial_nodes(self) -> frozenset[NodeId]:
@@ -210,7 +207,8 @@ def path_coefficients(dag: DagStructure, weights: np.ndarray) -> np.ndarray:
     parent rows scaled by the connecting edge weight extends every
     maximal path by one edge.  Products are formed directly; the
     weights in scope are O(1) and chains are short, so no log-space
-    rewrite is needed.
+    rewrite is needed.  A product that overflows is a ``ValidationError``
+    naming the first node, in topological order, that it reaches.
 
     Returns:
         A (d, d) float64 matrix, upper triangular whenever the DAG is
@@ -222,6 +220,9 @@ def path_coefficients(dag: DagStructure, weights: np.ndarray) -> np.ndarray:
     for n in dag.topological_order():
         i = n - 1
         for p in dag.parents(n):
-            np.maximum(coef[i], w[i, p - 1] * coef[p - 1], out=coef[i])
+            with np.errstate(over="ignore"):
+                np.maximum(coef[i], w[i, p - 1] * coef[p - 1], out=coef[i])
+        if not np.isfinite(coef[i]).all():
+            raise ValidationError(f"path products into node {n} overflow")
         coef[i, i] = w[i, i]
     return coef

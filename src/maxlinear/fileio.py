@@ -1,6 +1,5 @@
 """File formats the commands read and write: DAG text/JSON, matrix
-CSV/JSON, sample CSV, the ordering part of the learn report, and DOT
-graphs.
+CSV/JSON, sample CSV, and DOT graphs.
 
 Formats are deliberately small and stable:
 
@@ -44,7 +43,6 @@ import numpy as np
 
 from .dag import DagStructure
 from .errors import FileFormatError, ValidationError
-from .ordering import LearnResult
 
 FLOAT_FMT = "%.17g"
 
@@ -267,41 +265,7 @@ def read_sample_csv(path: str | Path) -> tuple[np.ndarray, list[str]]:
 
 
 # ---------------------------------------------------------------------------
-# learn results and DOT
-
-
-def learn_result_payload(result: LearnResult, mode: str) -> dict:
-    """JSON form of an ordering run; ``mode`` names its scaling source
-    (``"exact-scalings"`` or ``"estimated"``) next to the constants."""
-    cfg = result.config
-    return {
-        "discovery": list(result.discovery),
-        "column_order": list(result.column_order()) if result.discovery else [],
-        "positions": {str(m): result.position(m) for m in result.discovery},
-        "generations": [list(g) for g in result.generations]
-        if result.generations is not None
-        else None,
-        "valid": result.valid,
-        "config": {
-            "a": cfg.a,
-            "eps1": cfg.eps1,
-            "eps2": cfg.eps2,
-            "eps3": cfg.eps3,
-            "mode": mode,
-        },
-        "passes": [
-            {
-                "kind": p.kind,
-                "ordered_before": list(p.ordered_before),
-                "accepted": list(p.accepted),
-                "deltas": {
-                    str(m): {"min": lo, "max": hi}
-                    for m, (lo, hi) in sorted(p.deltas.items())
-                },
-            }
-            for p in result.passes
-        ],
-    }
+# DOT
 
 
 def write_dot(

@@ -363,27 +363,6 @@ def _pass_deltas(
     return deltas, scalings
 
 
-def _pairwise_delta_bounds(
-    provider: SpectralScalings, cfg: ReorderConfig
-) -> dict[int, tuple[float, float]]:
-    # The plain scaling of a pair {i, m} does not depend on the column
-    # order, so it comes from the provider's cache; the inflated one
-    # does (only m is inflated) and is estimated for each ordered pair.
-    offset = cfg.a**2 - 1.0
-    bounds: dict[int, tuple[float, float]] = {}
-    for m in _all_nodes(provider.node_count):
-        lo, hi = math.inf, -math.inf
-        for i in _all_nodes(provider.node_count):
-            if i == m:
-                delta = 0.0  # self-pair is exactly zero by construction
-            else:
-                plain, inflated = provider.pair_scalings(i, m, cfg.a)
-                delta = inflated - plain - offset
-            lo, hi = min(lo, delta), max(hi, delta)
-        bounds[m] = (lo, hi)
-    return bounds
-
-
 # ---------------------------------------------------------------------------
 # passes and results
 
@@ -460,9 +439,21 @@ def _pairwise_pass(provider: SpectralScalings, cfg: ReorderConfig) -> DeltaPass:
 
     For each candidate m the delta is computed on the two columns (i, m)
     alone; m passes when the largest delta stays below eps1 and the
-    smallest above -eps2.
+    smallest above -eps2.  The self-pair's delta is exactly zero by
+    construction.  The plain scaling of a pair {i, m} does not depend on
+    the column order, so it comes from the provider's cache; the inflated
+    one does (only m is inflated) and is estimated for each ordered pair.
     """
-    bounds = _pairwise_delta_bounds(provider, cfg)
+    offset = cfg.a**2 - 1.0
+    bounds: dict[int, tuple[float, float]] = {}
+    for m in _all_nodes(provider.node_count):
+        lo = hi = 0.0
+        for i in _all_nodes(provider.node_count):
+            if i != m:
+                plain, inflated = provider.pair_scalings(i, m, cfg.a)
+                delta = inflated - plain - offset
+                lo, hi = min(lo, delta), max(hi, delta)
+        bounds[m] = (lo, hi)
     accepted = sorted(
         m for m, (lo, hi) in bounds.items() if hi <= cfg.eps1 and lo >= -cfg.eps2
     )

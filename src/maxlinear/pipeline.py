@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -258,6 +258,41 @@ def _transform_sample(x: np.ndarray, how: str) -> np.ndarray:
     return empirical_frechet_transform(-np.asarray(x, dtype=np.float64))  # negate-frechet
 
 
+def _order_payload(result: LearnResult, mode: str) -> dict:
+    """The ``order`` section of ``report.json``: an ordering run, with
+    ``mode`` naming its scaling source (``"exact-scalings"`` or
+    ``"estimated"``) next to the constants."""
+    cfg = result.config
+    return {
+        "discovery": list(result.discovery),
+        "column_order": list(result.column_order()) if result.discovery else [],
+        "positions": {str(m): result.position(m) for m in result.discovery},
+        "generations": [list(g) for g in result.generations]
+        if result.generations is not None
+        else None,
+        "valid": result.valid,
+        "config": {
+            "a": cfg.a,
+            "eps1": cfg.eps1,
+            "eps2": cfg.eps2,
+            "eps3": cfg.eps3,
+            "mode": mode,
+        },
+        "passes": [
+            {
+                "kind": p.kind,
+                "ordered_before": list(p.ordered_before),
+                "accepted": list(p.accepted),
+                "deltas": {
+                    str(m): {"min": lo, "max": hi}
+                    for m, (lo, hi) in sorted(p.deltas.items())
+                },
+            }
+            for p in result.passes
+        ],
+    }
+
+
 def run_learn(cfg: LearnConfig) -> dict:
     if (cfg.data is None) == (cfg.model is None):
         raise ValidationError("exactly one of data= or model= must be given")
@@ -271,8 +306,6 @@ def run_learn(cfg: LearnConfig) -> dict:
             raise ValidationError(
                 f"option(s) {', '.join(given)} apply only to data=, not to model="
             )
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     if cfg.model is not None:
         mode = "exact-scalings"
@@ -324,7 +357,7 @@ def run_learn(cfg: LearnConfig) -> dict:
         "transform": cfg.transform if cfg.model is None else None,
         "prune": cfg.prune,
         "columns": columns,
-        "order": fileio.learn_result_payload(result, mode),
+        "order": _order_payload(result, mode),
         "coefficients_learned_frame": [[float(v) for v in row] for row in learned],
         "coefficients_original_frame": [[float(v) for v in row] for row in original],
         "row_scalings_learned_frame": [float(v) for v in row_scalings],
@@ -333,6 +366,8 @@ def run_learn(cfg: LearnConfig) -> dict:
     if cfg.diagnostics:
         report["degenerate_recovery_directions"] = _degeneracy_diagnostics(learned)
 
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(json.dumps(report, indent=2) + "\n")
     fileio.write_matrix_csv(original, out / "coefficients.csv")
     fileio.write_dot(original, out / "model.dot", labels=columns)
@@ -406,7 +441,6 @@ class StudyRow:
 @dataclass(frozen=True)
 class StudyResult:
     rows: tuple[StudyRow, ...]
-    outcomes: tuple[tuple[int, int, bool, bool], ...] = field(default=())
 
 
 def _study_replicate(
@@ -457,26 +491,21 @@ def run_study(cfg: StudyConfig) -> StudyResult:
     out.mkdir(parents=True, exist_ok=True)
     rcfg = _reorder_config(cfg, ReorderConfig.simulation_preset())
 
-    jobs = [size for size in cfg.sizes for _ in range(cfg.runs)]
-    seeds = np.random.SeedSequence(cfg.seed).spawn(len(jobs))
+    seeds = iter(np.random.SeedSequence(cfg.seed).spawn(len(cfg.sizes) * cfg.runs))
     preset = ten_node_model() if cfg.weights == "preset" else None
-
-    flags = [
-        _study_replicate(seed, size, rcfg, preset, cfg.mode)
-        for seed, size in zip(seeds, jobs)
-    ]
 
     rows = []
     outcomes = []
-    for s_idx, size in enumerate(cfg.sizes):
-        chunk = flags[s_idx * cfg.runs : (s_idx + 1) * cfg.runs]
-        valid = sum(1 for v, _ in chunk if v)
-        correct = sum(1 for _, c in chunk if c)
+    for size in cfg.sizes:
+        flags = [
+            _study_replicate(next(seeds), size, rcfg, preset, cfg.mode)
+            for _ in range(cfg.runs)
+        ]
+        valid = sum(1 for v, _ in flags if v)
+        correct = sum(1 for _, c in flags if c)
         rows.append(StudyRow(size=size, runs=cfg.runs, valid=valid, correct=correct))
-        outcomes.extend(
-            (size, run, v, c) for run, (v, c) in enumerate(chunk)
-        )
-    result = StudyResult(rows=tuple(rows), outcomes=tuple(outcomes))
+        outcomes.extend((size, run, v, c) for run, (v, c) in enumerate(flags))
+    result = StudyResult(rows=tuple(rows))
 
     with open(out / "study.csv", "w", newline="") as fh:
         fh.write("n,runs,valid,correct,ratio_percent\n")
@@ -509,7 +538,7 @@ def run_study(cfg: StudyConfig) -> StudyResult:
     if cfg.detail:
         with open(out / "study_runs.csv", "w", newline="") as fh:
             fh.write("n,run,valid,correct\n")
-            for size, run, v, c in result.outcomes:
+            for size, run, v, c in outcomes:
                 fh.write(f"{size},{run},{int(v)},{int(c)}\n")
     return result
 
@@ -602,8 +631,7 @@ def run_extremes(cfg: ExtremesConfig) -> int:
     tops = [(i, j, name, _top_pair_rows(data, i, j, count))
             for i, j in pairs for name, data in sources]
     out = Path(cfg.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     written = 0
     with open(out, "w", newline="") as fh:
         fh.write("i,j,source,xi,xj\n")
@@ -648,6 +676,5 @@ def run_transform(cfg: TransformConfig) -> None:
         else:  # frechet
             x = empirical_frechet_transform(x)
     out = Path(cfg.out)
-    if out.parent != Path(""):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     fileio.write_sample_csv(x, out, columns)

@@ -19,21 +19,6 @@ from .errors import ValidationError
 from .model import standardize
 from .dag import path_coefficients
 
-TEN_NODE_EDGES: tuple[tuple[int, int], ...] = (
-    (10, 9),
-    (10, 8),
-    (9, 7),
-    (9, 6),
-    (8, 6),
-    (8, 5),
-    (7, 4),
-    (7, 3),
-    (6, 3),
-    (6, 2),
-    (5, 2),
-    (5, 1),
-)
-
 TEN_NODE_GENERATIONS: tuple[frozenset[int], ...] = (
     frozenset({10}),
     frozenset({8, 9}),
@@ -59,6 +44,8 @@ TEN_NODE_SQUARED_WEIGHTS: dict[tuple[int, int], float] = {
     (10, 8): 0.5000000000000001,
     (10, 9): 0.6666666666666666,
 }
+
+TEN_NODE_EDGES: tuple[tuple[int, int], ...] = tuple(TEN_NODE_SQUARED_WEIGHTS)
 
 EDGE_WEIGHT_GRID = tuple(2.0 / r for r in range(1, 9))
 

@@ -387,7 +387,7 @@ def test_learn_k_outside_one_to_n_is_validation_error(
     rc = main([*argv, "--scalings", scalings, "--k", k])
     assert rc == 2
     assert "threshold count" in capsys.readouterr().err
-    assert not (out / "report.json").exists()
+    assert not out.exists()
 
 
 def test_extremes_model_must_be_finite_and_non_negative(tmp_path, small_sample_csv):
@@ -432,7 +432,7 @@ def test_non_finite_sample_is_validation_error(tmp_path, argv, capsys):
     out = tmp_path / "x"
     assert main([*argv, "--out", str(out), "--data", str(data)]) == 2
     assert "non-finite" in capsys.readouterr().err
-    assert not out.is_file() and not any(out.glob("*"))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -626,7 +626,7 @@ def test_zero_column_is_threshold_error(tmp_path, scalings, transform, fill, mes
     argv = ["learn", "--out", str(out), "--data", str(data), "--transform", transform]
     assert main([*argv, "--scalings", scalings]) == 3
     assert message in capsys.readouterr().err
-    assert not (out / "report.json").exists()
+    assert not out.exists()
 
 
 def _degenerate_sample(kind: str) -> np.ndarray:
@@ -666,6 +666,7 @@ def test_degenerate_inputs_exit_cleanly(tmp_path, kind, scalings, transform, cap
     else:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ")
+        assert not out.exists()
 
 
 def _bare_row(z):
@@ -743,6 +744,8 @@ def _out_of_range_inputs(tmp_path: Path) -> dict[str, Path]:
     files = {
         "dag": "nodes: 2\n2 -> 1\n",
         "huge_weights": "1e200,1e200\n0,1\n",
+        "chain": "nodes: 3\n3 -> 2\n2 -> 1\n",
+        "chain_weights": "1,1e200,0\n0,1,1e200\n0,0,1\n",
         "huge_model": "1e200,0\n1e200,1e200\n",
         "tiny_model": "1e-200,0\n1e-200,1e-200\n",
         "huge_diagonal": "1e300,0\n0,1\n",
@@ -753,7 +756,8 @@ def _out_of_range_inputs(tmp_path: Path) -> dict[str, Path]:
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
-    return {name: tmp_path / name for name in files}
+    paths = {name: tmp_path / name for name in files}
+    return {**paths, "missing": tmp_path / "missing.csv"}  # never written
 
 
 OUT_OF_RANGE_CASES = [
@@ -762,6 +766,12 @@ OUT_OF_RANGE_CASES = [
         2,
         "cannot standardize row 1: its squared norm overflows",
         id="simulate-weights-overflow",
+    ),
+    pytest.param(
+        ["simulate", "--dag", "{chain}", "--weights", "{chain_weights}"],
+        2,
+        "path products into node 1 overflow",
+        id="path-products-overflow",
     ),
     pytest.param(
         ["learn", "--model", "{huge_model}"],
@@ -800,25 +810,36 @@ OUT_OF_RANGE_CASES = [
         "second 'nodes:' header: 'nodes: 3'",
         id="dag-header-twice",
     ),
+    pytest.param(
+        ["learn", "--data", "{missing}"],
+        4,
+        "[Errno 2] No such file or directory: '{missing}'",
+        id="learn-data-missing",
+    ),
 ]
 
 
 @pytest.mark.parametrize("argv, code, message", OUT_OF_RANGE_CASES)
 def test_out_of_range_inputs_end_in_one_typed_error(tmp_path, argv, code, message, capsys):
-    # the squares of a weight, a model entry or a sample entry can leave
-    # floating-point range, and a DAG header can be malformed; each ends
-    # in its documented exit code, naming the row, pair or line, with no
-    # output written
+    # the squares of a weight, a model entry or a sample entry and the
+    # path products of the weights can leave floating-point range, a DAG
+    # header can be malformed and a sample file missing; each ends in its
+    # documented exit code, naming the row, node, pair, line or file, and
+    # makes no output path
     files = _out_of_range_inputs(tmp_path)
     out = tmp_path / "out"
     assert main([*(a.format(**files) for a in argv), "--out", str(out)]) == code
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not out.is_file() and not any(out.glob("*"))
+    assert capsys.readouterr().err == f"error: {message.format(**files)}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
     "argv, code, message",
-    [c for c in OUT_OF_RANGE_CASES if c.id in ("simulate-weights-overflow", "extremes-overflow")],
+    [
+        c
+        for c in OUT_OF_RANGE_CASES
+        if c.id in ("simulate-weights-overflow", "path-products-overflow", "extremes-overflow")
+    ],
 )
 def test_overflowing_inputs_are_quiet_in_dev_mode(tmp_path, argv, code, message):
     # -W error turns a numpy overflow warning into a traceback

@@ -12,17 +12,13 @@ import pytest
 
 from maxlinear import (
     DagStructure,
-    ExactScalings,
     FileFormatError,
-    ReorderConfig,
     ValidationError,
-    learn_generations,
     ten_node_dag,
 )
 from maxlinear import fileio
 from maxlinear.fileio import (
     default_column_names,
-    learn_result_payload,
     read_dag_auto,
     read_dag_json,
     read_dag_text,
@@ -290,21 +286,7 @@ def test_sample_csv_write_interrupted_here_kills_the_child(tmp_path, monkeypatch
 
 
 # ---------------------------------------------------------------------------
-# learn-result payload and DOT
-
-
-def test_learn_result_payload_fields(preset_model):
-    res = learn_generations(
-        ExactScalings(preset_model), ReorderConfig.simulation_preset()
-    )
-    payload = learn_result_payload(res, "exact-scalings")
-    assert payload["valid"] is True
-    assert payload["discovery"][0] == 10
-    assert payload["column_order"] == list(reversed(payload["discovery"]))
-    assert payload["positions"]["10"] == 10
-    assert payload["generations"] == [[10], [8, 9], [5, 6, 7], [1, 2, 3, 4]]
-    assert payload["config"]["mode"] == "exact-scalings"
-    assert payload["passes"][0]["kind"] == "initial"
+# DOT
 
 
 def test_dot_edges_follow_prune_threshold(tmp_path):

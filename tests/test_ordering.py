@@ -37,7 +37,7 @@ from maxlinear import (
 )
 from maxlinear import _kernels, estimation, ordering
 from maxlinear.estimation import estimate_rescaled_max_scaling
-from maxlinear.ordering import _pairwise_delta_bounds
+from maxlinear.ordering import _pairwise_pass
 from maxlinear.pipeline import scaling_vector_from_provider
 from maxlinear.presets import TEN_NODE_GENERATIONS
 
@@ -264,7 +264,7 @@ def test_spectral_pass_scalings_equal_per_subset_estimates(kind, data, d, n, fac
         return bounds
 
     cfg = ReorderConfig(a=factor)
-    got = _outcome(lambda: _pairwise_delta_bounds(SpectralScalings(x, k), cfg))
+    got = _outcome(lambda: _pairwise_pass(SpectralScalings(x, k), cfg).deltas)
     assert got == _outcome(public_bounds)
 
 

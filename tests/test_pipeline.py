@@ -43,6 +43,7 @@ from maxlinear.pipeline import (
     SimulateConfig,
     StudyConfig,
     TransformConfig,
+    _order_payload,
     run_extremes,
     run_learn,
     run_simulate,
@@ -212,6 +213,20 @@ def test_learn_report_is_byte_reproducible(tmp_path):
         run_learn(LearnConfig(out=str(tmp_path / name), model=str(m_path)))
         outs.append((tmp_path / name / "report.json").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_order_payload_fields(preset_model):
+    res = learn_generations(
+        ExactScalings(preset_model), ReorderConfig.simulation_preset()
+    )
+    payload = _order_payload(res, "exact-scalings")
+    assert payload["valid"] is True
+    assert payload["discovery"][0] == 10
+    assert payload["column_order"] == list(reversed(payload["discovery"]))
+    assert payload["positions"]["10"] == 10
+    assert payload["generations"] == [[10], [8, 9], [5, 6, 7], [1, 2, 3, 4]]
+    assert payload["config"]["mode"] == "exact-scalings"
+    assert payload["passes"][0]["kind"] == "initial"
 
 
 def test_learn_dot_uses_learned_edges(tmp_path):

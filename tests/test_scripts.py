@@ -47,12 +47,15 @@ def test_output_digest_is_reproducible():
     commands = [
         ["simulate", "--out", "sim", "--n", "50"],
         ["learn", "--out", "learn", "--data", "sim/sample.csv"],
+        ["learn", "--out", "nothing", "--data", "missing.csv"],
     ]
     first = script.digest(commands)
     assert json.dumps(first) == json.dumps(script.digest(commands))
-    assert [record["exit"] for record in first] == [0, 0]
+    assert [record["exit"] for record in first] == [0, 0, 4]
     assert sorted(first[0]["files"]) == ["sim/model.json", "sim/sample.csv"]
     assert "learn/report.json" in first[1]["files"]
+    assert [record["dirs"] for record in first] == [["sim"], ["learn"], []]
+    assert first[2]["files"] == {}
 
 
 def test_perfbench_tracer_finds_every_traced_name():

@@ -13,10 +13,21 @@ The commands: ``simulate`` at n = 100000 (seeds 0-1, the forked write)
 and n = 10000 (seeds 0-3); on each sample ``learn`` (default,
 ``--scalings spectral --diagnostics``, ``--transform none`` and
 ``--model``), ``extremes --source both`` and ``transform`` (default and
-``negate,negative-part``); then ``study --detail``.  Two commands
-fail: ``learn --scalings spectral --diagnostics`` on the ``simulate
---n 10000 --seed 10`` sample exits 3 in the pairwise initial-node screen,
-and ``learn`` on a missing sample file exits 4.
+``negate,negative-part``); then ``study --detail``.  The weight
+builders: ``simulate --weights paper``, ``study --weights paper --runs 5
+--detail``, and ``simulate`` on a four-node DAG file under ``--weights
+unit`` and ``paper``.  The margin ops of ``learn``: ``--transform
+negate-frechet``, default and ``--scalings spectral``, on the seed-2
+sample.  The learn mode that never reads ``--eps3``: ``learn --data
+--eps3 0.2``.  Two chains whose path products underflow, into a node
+and on standardizing.  ``FILES`` holds the DAG and weight files, written
+before the first command.
+
+Several commands fail: ``learn --scalings spectral --diagnostics`` on
+the ``simulate --n 10000 --seed 10`` sample and the default ``learn
+--transform negate-frechet`` on the seed-2 sample exit 3 in the initial
+pass, ``learn --data --eps3 0.2`` and the two underflowing chains exit
+2, and ``learn`` on a missing sample file exits 4.
 
 Run:  PYTHONPATH=src python3 scripts/output_digest.py OUT.json
 """
@@ -62,7 +73,28 @@ COMMANDS += [
     ["learn", "--out", "sim-10000-10-spectral", "--data", "sim-10000-10/sample.csv",
      "--scalings", "spectral", "--diagnostics"],
     ["learn", "--out", "missing-learn", "--data", "missing.csv"],
+    ["simulate", "--out", "sim-paper", "--weights", "paper"],
+    ["study", "--out", "study-paper", "--weights", "paper", "--runs", "5", "--detail"],
+    ["simulate", "--out", "sim-dag4-unit", "--dag", "dag4.txt", "--weights", "unit"],
+    ["simulate", "--out", "sim-dag4-paper", "--dag", "dag4.txt", "--weights", "paper"],
+    ["learn", "--out", "sim-10000-2-negate", "--data", "sim-10000-2/sample.csv",
+     "--transform", "negate-frechet"],
+    ["learn", "--out", "sim-10000-2-negate-spectral", "--data", "sim-10000-2/sample.csv",
+     "--transform", "negate-frechet", "--scalings", "spectral"],
+    ["learn", "--out", "sim-10000-2-eps3", "--data", "sim-10000-2/sample.csv",
+     "--eps3", "0.2"],
+    ["simulate", "--out", "chain-tiny", "--dag", "chain.txt", "--weights", "tiny.csv"],
+    ["simulate", "--out", "chain-wide", "--dag", "chain.txt", "--weights", "wide.csv"],
 ]
+
+FILES = {
+    "dag4.txt": "nodes: 4\n4 -> 3\n4 -> 2\n3 -> 1\n2 -> 1\n",
+    "chain.txt": "nodes: 3\n3 -> 2\n2 -> 1\n",
+    # the path product into node 1 of 3 underflows to 0
+    "tiny.csv": "1,1e-200,0\n0,1,1e-200\n0,0,1\n",
+    # it is 1e-320, and 0 once row 1 is divided by its norm 1e10
+    "wide.csv": "1e10,1e-160,0\n0,1,1e-160\n0,0,1\n",
+}
 
 
 def _stamps(root: Path) -> dict[str, tuple[int, int]]:
@@ -96,11 +128,14 @@ def _run(argv: list[str]) -> tuple[int, str]:
 
 
 def digest(commands: list[list[str]]) -> list[dict]:
-    """Run ``commands`` in order in one fresh directory; one record each."""
+    """Run ``commands`` in order in one fresh directory that holds
+    ``FILES``; one record each."""
     records = []
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
+        for name, text in FILES.items():
+            (root / name).write_text(text)
         os.chdir(root)
         try:
             for argv in commands:

@@ -16,9 +16,10 @@ check their own choice fields.
 A successful command prints one timing line, ``<command>: N.NNNs``, to
 stderr; the outputs it writes do not depend on it.
 
-Exit codes: 0 success; 2 validation/config error (including an unknown
-config key or a missing required option); 3 a threshold could not be met
-or no initial node was found; 4 file I/O or format error.
+A failed command prints one ``error:`` line and exits with the
+``exit_code`` of its class in :mod:`maxlinear.errors`; a builtin
+``ValueError`` exits as a ``ValidationError``, an ``OSError`` as a
+``FileFormatError``.
 """
 
 from __future__ import annotations
@@ -33,13 +34,7 @@ from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import Any, Sequence, get_args, get_origin, get_type_hints
 
-from .errors import (
-    EmptyGenerationError,
-    FileFormatError,
-    NoInitialNodeError,
-    ThresholdError,
-    ValidationError,
-)
+from .errors import FileFormatError, MaxLinearError, ValidationError
 from .pipeline import (
     ExtremesConfig,
     LearnConfig,
@@ -52,11 +47,6 @@ from .pipeline import (
     run_study,
     run_transform,
 )
-
-EXIT_OK = 0
-EXIT_VALIDATION = 2
-EXIT_THRESHOLD = 3
-EXIT_IO = 4
 
 COMMANDS = {
     "simulate": (SimulateConfig, run_simulate, "simulate a max-linear sample"),
@@ -189,20 +179,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = _make_config(cls, args)
         start = time.perf_counter()
         run(cfg)
-    except (ThresholdError, NoInitialNodeError, EmptyGenerationError) as exc:
+    except (MaxLinearError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_THRESHOLD
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ValidationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        if isinstance(exc, MaxLinearError):
+            return exc.exit_code
+        return (ValidationError if isinstance(exc, ValueError) else FileFormatError).exit_code
     print(f"{args.command}: {time.perf_counter() - start:.3f}s", file=sys.stderr)
-    return EXIT_OK
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

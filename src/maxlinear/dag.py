@@ -207,8 +207,9 @@ def path_coefficients(dag: DagStructure, weights: np.ndarray) -> np.ndarray:
     parent rows scaled by the connecting edge weight extends every
     maximal path by one edge.  Products are formed directly; the
     weights in scope are O(1) and chains are short, so no log-space
-    rewrite is needed.  A product that overflows is a ``ValidationError``
-    naming the first node, in topological order, that it reaches.
+    rewrite is needed.  A product that overflows, or underflows to 0 and
+    so drops an ancestor, is a ``ValidationError`` naming the first node,
+    in topological order, that it reaches.
 
     Returns:
         A (d, d) float64 matrix, upper triangular whenever the DAG is
@@ -219,10 +220,13 @@ def path_coefficients(dag: DagStructure, weights: np.ndarray) -> np.ndarray:
     coef = np.zeros((d, d), dtype=np.float64)
     for n in dag.topological_order():
         i = n - 1
-        for p in dag.parents(n):
+        ps = [p - 1 for p in dag.parents(n)]
+        for p in ps:
             with np.errstate(over="ignore"):
-                np.maximum(coef[i], w[i, p - 1] * coef[p - 1], out=coef[i])
+                np.maximum(coef[i], w[i, p] * coef[p], out=coef[i])
         if not np.isfinite(coef[i]).all():
             raise ValidationError(f"path products into node {n} overflow")
+        if ((coef[ps] > 0.0).any(axis=0) & (coef[i] == 0.0)).any():  # a lost ancestor
+            raise ValidationError(f"path products into node {n} underflow to 0")
         coef[i, i] = w[i, i]
     return coef

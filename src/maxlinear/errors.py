@@ -1,9 +1,9 @@
 """Exception hierarchy shared across the package.
 
-The command-line layer maps these onto exit codes: validation failures
-exit with 2, data-driven threshold failures (too few exceedances, no
-initial node found, an empty generation pass) with 3, and file-format
-problems with 4.
+Each class carries the exit code of the command line as ``exit_code``:
+validation failures exit with 2, data-driven threshold failures (too few
+exceedances, no initial node found, an empty generation pass) with 3,
+and file-format problems with 4.
 """
 
 from __future__ import annotations
@@ -11,10 +11,12 @@ from __future__ import annotations
 
 class MaxLinearError(Exception):
     """Base class for all package-specific errors."""
+    exit_code = 1  # the code of an uncaught exception
 
 
 class ValidationError(MaxLinearError):
     """Structurally invalid input: bad shapes, labels, weights or config."""
+    exit_code = 2
 
 
 class CyclicGraphError(ValidationError):
@@ -27,17 +29,21 @@ class ThresholdError(MaxLinearError):
     a non-positive row maximum in the Fréchet maximum-likelihood
     scaling estimate, or data out of floating-point range, which would
     make an estimate non-finite."""
+    exit_code = 3
 
 
 class NoInitialNodeError(MaxLinearError):
     """The initial-node search accepted no candidate; tolerances may be
     too tight for the data at hand."""
+    exit_code = 3
 
 
 class EmptyGenerationError(MaxLinearError):
     """A generation pass accepted no node while unordered nodes remain,
     which invalidates the ordering run."""
+    exit_code = 3
 
 
 class FileFormatError(MaxLinearError):
     """An input file does not parse as the documented format."""
+    exit_code = 4

@@ -76,7 +76,8 @@ def standardize(coef: np.ndarray) -> np.ndarray:
         The standardized matrix (new array).
 
     Raises:
-        ValidationError: a row's squared norm overflows or underflows to 0.
+        ValidationError: a row's squared norm overflows or underflows to
+            0, or a positive entry underflows to 0 in the division.
     """
     a = as_coefficient_matrix(coef)
     with np.errstate(over="ignore"):
@@ -86,7 +87,12 @@ def standardize(coef: np.ndarray) -> np.ndarray:
         row = int(np.argmax(bad))
         what = "overflows" if norms[row] else "underflows to 0"
         raise ValidationError(f"cannot standardize row {row + 1}: its squared norm {what}")
-    return a / norms[:, None]
+    out = a / norms[:, None]
+    lost = np.argwhere((a > 0.0) & (out == 0.0))
+    if lost.size:
+        row, col = lost[0] + 1
+        raise ValidationError(f"cannot standardize row {row}: entry {col} underflows to 0")
+    return out
 
 
 def _frechet2_block(rng: np.random.Generator, rows: int, d: int) -> np.ndarray:

@@ -423,6 +423,12 @@ def _single(deltas: Mapping[int, float]) -> dict[int, tuple[float, float]]:
     return {m: (v, v) for m, v in deltas.items()}
 
 
+def _in_band(bounds: Mapping[int, tuple[float, float]], cfg: ReorderConfig) -> tuple:
+    """The nodes whose delta range (lo, hi) lies in [-eps2, eps1], ascending."""
+    inside = (m for m, (lo, hi) in bounds.items() if -cfg.eps2 <= lo and hi <= cfg.eps1)
+    return tuple(sorted(inside))
+
+
 def _threshold_pass(provider: ScalingProvider, cfg: ReorderConfig) -> DeltaPass:
     """Initial pass: nodes whose inflation delta lies in [-eps2, eps1].
 
@@ -430,8 +436,8 @@ def _threshold_pass(provider: ScalingProvider, cfg: ReorderConfig) -> DeltaPass:
     strictly below; the band absorbs estimation noise.
     """
     deltas, scalings = _pass_deltas(provider, (), cfg)
-    accepted = sorted(m for m, v in deltas.items() if -cfg.eps2 <= v <= cfg.eps1)
-    return DeltaPass("initial", (), _single(deltas), tuple(accepted), scalings)
+    bounds = _single(deltas)
+    return DeltaPass("initial", (), bounds, _in_band(bounds, cfg), scalings)
 
 
 def _pairwise_pass(provider: SpectralScalings, cfg: ReorderConfig) -> DeltaPass:
@@ -454,10 +460,7 @@ def _pairwise_pass(provider: SpectralScalings, cfg: ReorderConfig) -> DeltaPass:
                 delta = inflated - plain - offset
                 lo, hi = min(lo, delta), max(hi, delta)
         bounds[m] = (lo, hi)
-    accepted = sorted(
-        m for m, (lo, hi) in bounds.items() if hi <= cfg.eps1 and lo >= -cfg.eps2
-    )
-    return DeltaPass("initial-pairwise", (), bounds, tuple(accepted), {})
+    return DeltaPass("initial-pairwise", (), bounds, _in_band(bounds, cfg), {})
 
 
 def _argmax_node(deltas: Mapping[int, float]) -> int:

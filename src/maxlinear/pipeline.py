@@ -89,6 +89,22 @@ def _check_at_least(name: str, value: int, low: int) -> None:
         raise ValidationError(f"{name} must be at least {low}, got {value}")
 
 
+# the ops of ``transform --ops`` and ``learn --transform``; "frechet" looks its
+# function up per call, so perfbench/tracing.py's wrapper on this module sees it
+MARGIN_OPS = {
+    "negate": np.negative,
+    "negative-part": negative_part,
+    "frechet": lambda x: empirical_frechet_transform(x),
+}
+
+
+def _apply_ops(x: np.ndarray, ops: Sequence[str]) -> np.ndarray:
+    """``x`` under the ``MARGIN_OPS`` named in ``ops``, in order."""
+    for op in ops:
+        x = MARGIN_OPS[op](x)
+    return x
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -162,8 +178,11 @@ def run_simulate(cfg: SimulateConfig) -> dict:
 
 
 LEARN_SCALINGS = ("mle", "spectral")
-LEARN_TRANSFORMS = ("frechet", "negate-frechet", "none")
-LEARN_DATA_OPTIONS = ("k", "scalings", "transform")  # no effect on model=
+LEARN_TRANSFORMS = {  # the margin ops of each value
+    "frechet": ("frechet",), "negate-frechet": ("negate", "frechet"), "none": ()
+}
+# the options that each learn mode never reads
+LEARN_UNREAD_OPTIONS = {"model": ("k", "scalings", "transform"), "data": ("eps3",)}
 
 
 @dataclass(frozen=True)
@@ -183,7 +202,7 @@ class LearnConfig:
 
     def __post_init__(self) -> None:
         _check_choice("scalings", self.scalings, LEARN_SCALINGS)
-        _check_choice("transform", self.transform, LEARN_TRANSFORMS)
+        _check_choice("transform", self.transform, tuple(LEARN_TRANSFORMS))
         if not 0.0 <= self.prune < math.inf:
             raise ValidationError(f"prune must be finite and non-negative, got {self.prune}")
 
@@ -250,14 +269,6 @@ def _relabel_to_original(learned: np.ndarray, result: LearnResult) -> np.ndarray
     return learned[np.ix_(p, p)]
 
 
-def _transform_sample(x: np.ndarray, how: str) -> np.ndarray:
-    if how == "none":
-        return np.asarray(x, dtype=np.float64)
-    if how == "frechet":
-        return empirical_frechet_transform(x)
-    return empirical_frechet_transform(-np.asarray(x, dtype=np.float64))  # negate-frechet
-
-
 def _order_payload(result: LearnResult, mode: str) -> dict:
     """The ``order`` section of ``report.json``: an ordering run, with
     ``mode`` naming its scaling source (``"exact-scalings"`` or
@@ -296,16 +307,16 @@ def _order_payload(result: LearnResult, mode: str) -> dict:
 def run_learn(cfg: LearnConfig) -> dict:
     if (cfg.data is None) == (cfg.model is None):
         raise ValidationError("exactly one of data= or model= must be given")
-    if cfg.model is not None:
-        given = [
-            f.name
-            for f in fields(cfg)
-            if f.name in LEARN_DATA_OPTIONS and getattr(cfg, f.name) != f.default
-        ]
-        if given:
-            raise ValidationError(
-                f"option(s) {', '.join(given)} apply only to data=, not to model="
-            )
+    source, other = ("model", "data") if cfg.model is not None else ("data", "model")
+    given = [
+        f.name
+        for f in fields(cfg)
+        if f.name in LEARN_UNREAD_OPTIONS[source] and getattr(cfg, f.name) != f.default
+    ]
+    if given:
+        raise ValidationError(
+            f"option(s) {', '.join(given)} apply only to {other}=, not to {source}="
+        )
 
     if cfg.model is not None:
         mode = "exact-scalings"
@@ -327,7 +338,7 @@ def run_learn(cfg: LearnConfig) -> dict:
             raise ValidationError(
                 f"threshold count k={k_used} must lie in 1..n for sample size n={n}"
             )
-        xt = _transform_sample(x, cfg.transform)
+        xt = _apply_ops(x, LEARN_TRANSFORMS[cfg.transform])
         rcfg = _reorder_config(cfg, ReorderConfig.data_preset())
         if cfg.scalings == "mle":
             mle = FrechetMleScalings(xt)
@@ -649,7 +660,7 @@ def run_extremes(cfg: ExtremesConfig) -> int:
 # transform
 
 
-TRANSFORM_OPS = ("negate", "negative-part", "frechet")
+TRANSFORM_OPS = tuple(MARGIN_OPS)
 
 
 @dataclass(frozen=True)
@@ -667,14 +678,7 @@ class TransformConfig:
 
 def run_transform(cfg: TransformConfig) -> None:
     x, columns = fileio.read_sample_csv(cfg.data)
-    x = _as_sample(x)
-    for op in cfg.ops:
-        if op == "negate":
-            x = -x
-        elif op == "negative-part":
-            x = negative_part(x)
-        else:  # frechet
-            x = empirical_frechet_transform(x)
+    x = _apply_ops(_as_sample(x), cfg.ops)
     out = Path(cfg.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     fileio.write_sample_csv(x, out, columns)

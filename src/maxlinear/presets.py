@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dag import DagStructure
+from .dag import DagStructure, path_coefficients
 from .errors import ValidationError
 from .model import standardize
-from .dag import path_coefficients
 
 TEN_NODE_GENERATIONS: tuple[frozenset[int], ...] = (
     frozenset({10}),
@@ -54,15 +53,19 @@ def ten_node_dag() -> DagStructure:
     return DagStructure(10, TEN_NODE_EDGES)
 
 
+def _weights(dag: DagStructure, edge) -> np.ndarray:
+    """Unit innovation weights and ``edge(parent, child)`` on each edge, called
+    child by child and then parent by parent, both in ascending label order."""
+    w = np.eye(dag.node_count)
+    for i in range(1, dag.node_count + 1):
+        for p in sorted(dag.parents(i)):
+            w[i - 1, p - 1] = edge(p, i)
+    return w
+
+
 def unit_weights(dag: DagStructure) -> np.ndarray:
     """All innovation and edge weights equal to one."""
-    d = dag.node_count
-    w = np.zeros((d, d))
-    for i in range(1, d + 1):
-        w[i - 1, i - 1] = 1.0
-        for p in dag.parents(i):
-            w[i - 1, p - 1] = 1.0
-    return w
+    return _weights(dag, lambda p, i: 1.0)
 
 
 def random_weights(dag: DagStructure, rng: np.random.Generator) -> np.ndarray:
@@ -72,24 +75,14 @@ def random_weights(dag: DagStructure, rng: np.random.Generator) -> np.ndarray:
     Edge draws consume the generator in a fixed (child, parent) order,
     so a seeded generator reproduces the same matrix.
     """
-    d = dag.node_count
-    w = np.zeros((d, d))
-    for i in range(1, d + 1):
-        w[i - 1, i - 1] = 1.0
-        for p in sorted(dag.parents(i)):
-            w[i - 1, p - 1] = float(np.sqrt(rng.choice(EDGE_WEIGHT_GRID)))
-    return w
+    return _weights(dag, lambda p, i: float(np.sqrt(rng.choice(EDGE_WEIGHT_GRID))))
 
 
 def ten_node_weights() -> np.ndarray:
     """The frozen edge-weight matrix of the worked example."""
-    dag = ten_node_dag()
-    w = np.zeros((10, 10))
-    for i in range(1, 11):
-        w[i - 1, i - 1] = 1.0
-    for (j, i), sq in TEN_NODE_SQUARED_WEIGHTS.items():
-        w[i - 1, j - 1] = float(np.sqrt(sq))
-    return w
+    return _weights(
+        ten_node_dag(), lambda p, i: float(np.sqrt(TEN_NODE_SQUARED_WEIGHTS[p, i]))
+    )
 
 
 def ten_node_model() -> np.ndarray:

@@ -111,26 +111,31 @@ def test_learn_from_model_dot_holds_the_ancestor_pairs(tmp_path, sim_dir):
 
 
 @pytest.mark.parametrize(
-    "option, named",
+    "mode, option, named",
     [
-        (["--k", "5"], "k"),
-        (["--scalings", "spectral", "--k", "5"], "k, scalings"),
-        (["--transform", "none"], "transform"),
+        ("model", ["--k", "5"], "k"),
+        ("model", ["--scalings", "spectral", "--k", "5"], "k, scalings"),
+        ("model", ["--transform", "none"], "transform"),
+        ("data", ["--eps3", "0.2"], "eps3"),
     ],
-    ids=["k", "spectral-k", "transform"],
+    ids=["k", "spectral-k", "transform", "data-eps3"],
 )
-def test_learn_from_model_rejects_data_only_options(tmp_path, option, named, capsys):
-    model = tmp_path / "model.csv"
-    np.savetxt(model, ten_node_model(), delimiter=",")
+def test_learn_from_model_rejects_data_only_options(tmp_path, mode, option, named, capsys):
+    # each learn mode refuses the options it never reads
+    sources = {"model": tmp_path / "model.csv", "data": tmp_path / "sample.csv"}
+    np.savetxt(sources["model"], ten_node_model(), delimiter=",")
+    write_sample_csv(simulate(ten_node_model(), 0, 200), sources["data"])
+    other = "data" if mode == "model" else "model"
     out = tmp_path / "learn"
-    argv = ["learn", "--out", str(out), "--model", str(model)]
+    argv = ["learn", "--out", str(out), f"--{mode}", str(sources[mode])]
     assert main([*argv, *option]) == 2
     assert capsys.readouterr().err == (
-        f"error: option(s) {named} apply only to data=, not to model=\n"
+        f"error: option(s) {named} apply only to {other}=, not to {mode}=\n"
     )
     assert not out.exists()
-    # the data-mode defaults, given explicitly, are the plain model run
-    assert main([*argv, "--scalings", "mle", "--transform", "frechet"]) == 0
+    if mode == "model":
+        # the data-mode defaults, given explicitly, are the plain model run
+        assert main([*argv, "--scalings", "mle", "--transform", "frechet"]) == 0
 
 
 def test_learn_from_model_exact_mode(tmp_path, sim_dir):
@@ -746,6 +751,8 @@ def _out_of_range_inputs(tmp_path: Path) -> dict[str, Path]:
         "huge_weights": "1e200,1e200\n0,1\n",
         "chain": "nodes: 3\n3 -> 2\n2 -> 1\n",
         "chain_weights": "1,1e200,0\n0,1,1e200\n0,0,1\n",
+        "chain_tiny_weights": "1,1e-200,0\n0,1,1e-200\n0,0,1\n",
+        "chain_wide_weights": "1e10,1e-160,0\n0,1,1e-160\n0,0,1\n",
         "huge_model": "1e200,0\n1e200,1e200\n",
         "tiny_model": "1e-200,0\n1e-200,1e-200\n",
         "huge_diagonal": "1e300,0\n0,1\n",
@@ -772,6 +779,20 @@ OUT_OF_RANGE_CASES = [
         2,
         "path products into node 1 overflow",
         id="path-products-overflow",
+    ),
+    pytest.param(
+        ["simulate", "--dag", "{chain}", "--weights", "{chain_tiny_weights}"],
+        2,
+        "path products into node 1 underflow to 0",
+        id="path-products-underflow",
+    ),
+    pytest.param(
+        # the path product 1e-320 into node 1 is positive, but 0 once
+        # divided by the row norm 1e10
+        ["simulate", "--dag", "{chain}", "--weights", "{chain_wide_weights}"],
+        2,
+        "cannot standardize row 1: entry 3 underflows to 0",
+        id="simulate-standardize-underflow",
     ),
     pytest.param(
         ["learn", "--model", "{huge_model}"],
@@ -821,8 +842,9 @@ OUT_OF_RANGE_CASES = [
 
 @pytest.mark.parametrize("argv, code, message", OUT_OF_RANGE_CASES)
 def test_out_of_range_inputs_end_in_one_typed_error(tmp_path, argv, code, message, capsys):
-    # the squares of a weight, a model entry or a sample entry and the
-    # path products of the weights can leave floating-point range, a DAG
+    # the squares of a weight, a model entry or a sample entry, the path
+    # products of the weights and their standardized values can leave
+    # floating-point range, a DAG
     # header can be malformed and a sample file missing; each ends in its
     # documented exit code, naming the row, node, pair, line or file, and
     # makes no output path
@@ -838,11 +860,18 @@ def test_out_of_range_inputs_end_in_one_typed_error(tmp_path, argv, code, messag
     [
         c
         for c in OUT_OF_RANGE_CASES
-        if c.id in ("simulate-weights-overflow", "path-products-overflow", "extremes-overflow")
+        if c.id
+        in (
+            "simulate-weights-overflow",
+            "path-products-overflow",
+            "extremes-overflow",
+            "path-products-underflow",
+            "simulate-standardize-underflow",
+        )
     ],
 )
 def test_overflowing_inputs_are_quiet_in_dev_mode(tmp_path, argv, code, message):
-    # -W error turns a numpy overflow warning into a traceback
+    # -W error turns a numpy overflow or underflow warning into a traceback
     files = _out_of_range_inputs(tmp_path)
     paths = [str(Path(maxlinear.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
@@ -900,6 +929,18 @@ def test_zero_tolerances_find_no_initial_node(tmp_path, sim_dir):
         ]
     )
     assert rc == 3
+
+
+def test_empty_generation_pass_exits_3(tmp_path, capsys):
+    # with eps3 = 0 no exact delta below the top generation passes
+    model = tmp_path / "model.csv"
+    np.savetxt(model, ten_node_model(), delimiter=",")
+    out = tmp_path / "learn"
+    assert main(["learn", "--out", str(out), "--model", str(model), "--eps3", "0"]) == 3
+    assert capsys.readouterr().err == (
+        "error: no node passed the generation test with head (10,)\n"
+    )
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ order-learning sweeps:
 * max-times matrix products (model simulation), swept one output
   column at a time over the non-zero entries of the right factor only,
 * thresholded angular sums over the squared columns of a sample
-  (``scaling_sum``, the spectral scaling estimates), which screen the
-  rows with an O(n) sum per column and re-sum row-major only the thin
-  band of rows that can reach the threshold,
+  (``scaling_sum``, the spectral scaling estimates), which add the
+  columns into each row's squared radius, O(n) per column, and form
+  peaks and angles for the exceedance rows only,
 * inverse-square means of row maxima of column-scaled samples
   (Frechet maximum-likelihood scalings), for every candidate of one
   ordering pass at once (``pass_invsq_means``): ``power(., -2.0)`` is
@@ -41,11 +41,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-
-# Unit roundoff of float64, and the cap on the screened k-th radius^2
-# below which scaling_sum's band needs no overflow case.
-_EPS = 2.0**-53
-_BIG = 2.0**1023
 
 
 def max_times_product(
@@ -101,56 +96,19 @@ def scaling_sum(sq: Sequence[np.ndarray], k: int) -> tuple[float, int, int]:
 
     ``sq`` holds q columns of length n with the squared coordinates of a
     sample, for example views into a cached (d, n) array of squares.
-    Per row, radius^2 is the row-major ``sum(axis=1)`` of the row and
-    peak^2 its largest entry.  The kernel sums peak^2 / radius^2 (the max
-    of the squared angular components) over the rows with the k largest
-    radii, ties included.  Returns ``(acc, n_exceed, n_positive)``;
-    ``acc`` is nan when fewer than k rows have positive radius, and the
-    caller is expected to raise.
+    Per row, radius^2 is the sum of the row's squares added in column
+    order, ``sq[0] + sq[1] + ...``, and peak^2 its largest entry.  The
+    kernel sums peak^2 / radius^2 (the max of the squared angular
+    components) over the rows with the k largest radii, ties included,
+    in row order.  Returns ``(acc, n_exceed, n_positive)``; ``acc`` is
+    nan when fewer than k rows have positive radius, and the caller is
+    expected to raise.  Squares that overflow to inf make a radius^2
+    and its ratio inf / inf, so ``acc`` is nan too.
 
-    Only a thin band of rows is summed row-major:
-
-    1. an O(n) screen adds the columns one by one into ``t``;
-    2. the band keeps the rows with ``t >= cut``, where ``cut`` rounds
-       ``min(tau, 2^1023) * (1 - 8 q 2^-53)`` down and ``tau`` is the
-       k-th largest ``t``;
-    3. the band is stacked into a C-ordered (c, q) block, whose
-       ``sum(axis=1)`` gives the radius^2 of each of its rows; the
-       threshold, the exceedance rows and their angular sum come from
-       the block.
-
-    The result is bit-identical to stacking the whole (n, q) sample
-    row-major and thresholding every ``sum(axis=1)``, whatever order
-    numpy adds a row in, as long as that order depends on the row alone:
-
-    * a sum of non-negative terms is positive iff one term is, in any
-      order, since rounding is monotone; so ``t > 0`` counts the rows of
-      positive radius;
-    * let s be a row's exact sum and r its radius^2.  Each addition
-      rounds within a factor 1 ± 2^-53 and a subnormal sum is exact, so
-      without overflow any summation order of q non-negative terms lies
-      within e·s of s, e = (q-1) 2^-53 (Jeannerod and Rump; the classic
-      bound (q-1) 2^-53 / (1 - (q-1) 2^-53) serves as well).  Then
-      ``r >= t (1-e)/(1+e)`` and ``t >= r (1-e)/(1+e)``.  A sum that
-      overflows has ``s >= max_float / (1+e)``, so the other order is
-      inf or at least ``max_float (1-e)/(1+e) > 2^1023 (1-e)/(1+e)``;
-    * the k rows with ``t >= tau`` therefore have r at least
-      ``tau' (1-e)/(1+e)``, with ``tau' = min(tau, 2^1023)``, which
-      bounds the k-th largest radius^2 ``thr`` from below; every row
-      with ``r >= thr`` has ``t >= tau' ((1-e)/(1+e))^2 >= tau' (1 -
-      4e)`` or ``t = inf``.  The factor ``1 - 8 q 2^-53`` is exact and
-      below ``1 - 4e``, and one step toward 0 after the rounded product
-      keeps ``cut`` below ``tau' (1 - 8 q 2^-53)``, also for a subnormal
-      ``tau'``;
-    * so the band holds every exceedance row (ties at ``thr`` too) and
-      the k rows with ``t >= tau``: its k-th largest r is ``thr``, and
-      the exceedance rows reach the angular ratios and their final sum
-      with the same values in the same order.
-
-    Squares that overflow to inf make r inf on both paths, and ``acc``
-    nan on both.
+    The radii cost one O(n) pass per column and the threshold one
+    ``np.partition``; only the exceedance rows (k of them, more on ties)
+    are gathered for their peaks and ratios.
     """
-    q = len(sq)
     t = np.array(sq[0], dtype=np.float64)
     for col in sq[1:]:
         np.add(t, col, out=t)
@@ -158,15 +116,13 @@ def scaling_sum(sq: Sequence[np.ndarray], k: int) -> tuple[float, int, int]:
     if n_pos < k:
         return float("nan"), 0, n_pos
     n = t.shape[0]
-    tau = np.partition(t, n - k)[n - k]
-    cut = np.nextafter(min(tau, _BIG) * (1.0 - 8 * q * _EPS), 0.0)
-    rows = np.flatnonzero(t >= cut)
-    block = np.stack([col[rows] for col in sq], axis=1)
-    r2 = block.sum(axis=1)
-    thr = np.partition(r2, r2.shape[0] - k)[r2.shape[0] - k]
-    sel = r2 >= thr
-    acc = float((block[sel].max(axis=1) / r2[sel]).sum())
-    return acc, int(np.count_nonzero(sel)), n_pos
+    thr = np.partition(t, n - k)[n - k]
+    rows = np.flatnonzero(t >= thr)
+    peak = sq[0][rows]
+    for col in sq[1:]:
+        np.maximum(peak, col[rows], out=peak)
+    acc = float((peak / t[rows]).sum())
+    return acc, int(rows.size), n_pos
 
 
 def _invsq_mean(m: np.ndarray) -> float:

@@ -14,7 +14,10 @@ Two estimator variants exist side by side:
   column by a factor ``a`` and decomposes the full vector, with the
   prefactor adjusted for the inflated total mass.
 
-Both reduce to one kernel over squared columns, ``_kernels.scaling_sum``.
+Both reduce to one kernel over squared columns, ``_kernels.scaling_sum``,
+in which a row's squared radius is its squared columns added in column
+order: the estimator leaves that order free, and this one costs one
+O(n) pass per column.
 The public estimators validate and square their sample on every call;
 ``ordering.SpectralScalings`` validates and squares it once and feeds
 the same kernel views of its cached columns, with bit-identical results.
@@ -46,6 +49,13 @@ def default_threshold_count(n: int) -> int:
     if n < 1:
         raise ValidationError("n must be >= 1")
     return int(math.ceil(math.sqrt(n)))
+
+
+def _check_threshold_count(k: int) -> int:
+    """The exceedance count k as an int: an integer of at least 1."""
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValidationError(f"threshold count k must be an integer >= 1, got {k!r}")
+    return int(k)
 
 
 def _as_sample(x: np.ndarray) -> np.ndarray:
@@ -89,9 +99,11 @@ def polar_decompose(x: np.ndarray, cols: Sequence[int], k: int) -> PolarSample:
         k: number of upper order statistics defining the threshold.
 
     Raises:
+        ValidationError: k is not an integer of at least 1.
         ThresholdError: fewer than k rows have positive radius on the
             subset.
     """
+    k = _check_threshold_count(k)
     a = _as_sample(x)
     subset = _check_nodes(cols, a.shape[1])
     sub = a[:, [c - 1 for c in subset]]
@@ -124,9 +136,12 @@ def scaling_from_polar(polar: PolarSample, over: Sequence[int] | None = None) ->
     Args:
         polar: decomposition from ``polar_decompose``.
         over: 1-based column labels (in original data coordinates) to
-            maximize over; must be contained in ``polar.subset``.
+            maximize over; must be non-empty and contained in
+            ``polar.subset``.
     """
     cols = polar.subset if over is None else tuple(int(c) for c in over)
+    if not cols:
+        raise ValidationError("over must name at least one column")
     missing = set(cols) - set(polar.subset)
     if missing:
         raise ValidationError(f"columns {sorted(missing)} not in subset {polar.subset}")
@@ -135,18 +150,24 @@ def scaling_from_polar(polar: PolarSample, over: Sequence[int] | None = None) ->
     return float(len(polar.subset) / polar.threshold_count * w2.max(axis=1).sum())
 
 
+def _checked_scaling_sum(sq: Sequence[np.ndarray], k: int, where: str) -> float:
+    """``_kernels.scaling_sum`` of ``sq``, raising where it has no estimate;
+    ``where`` names the columns in the messages."""
+    acc, _, n_pos = _kernels.scaling_sum(sq, k)
+    if n_pos < k:
+        raise ThresholdError(
+            f"only {n_pos} rows with positive radius on {where}, need k={k}"
+        )
+    if not math.isfinite(acc):
+        raise ThresholdError(f"squared radii on {where} overflow")
+    return acc
+
+
 def _max_scaling_of_squares(
     sq: Sequence[np.ndarray], subset: tuple[int, ...], k: int
 ) -> float:
     """Reduced-subset estimate from the squared columns of ``subset``."""
-    acc, _, n_pos = _kernels.scaling_sum(sq, k)
-    if n_pos < k:
-        raise ThresholdError(
-            f"only {n_pos} rows with positive radius on columns {subset}, need k={k}"
-        )
-    if not math.isfinite(acc):
-        raise ThresholdError(f"squared radii on columns {subset} overflow")
-    return len(subset) / k * acc
+    return len(subset) / k * _checked_scaling_sum(sq, k, f"columns {subset}")
 
 
 def _rescaled_scaling_of_squares(
@@ -154,15 +175,8 @@ def _rescaled_scaling_of_squares(
 ) -> float:
     """Rescaled estimate from all squared columns, ``n_inflated`` of them
     taken after inflation by ``factor``."""
-    acc, _, n_pos = _kernels.scaling_sum(sq, k)
-    if n_pos < k:
-        raise ThresholdError(
-            f"only {n_pos} rows with positive radius on rescaled columns, need k={k}"
-        )
-    if not math.isfinite(acc):
-        raise ThresholdError("squared radii on rescaled columns overflow")
     mass = (factor**2 - 1.0) * n_inflated + len(sq)
-    return mass / k * acc
+    return mass / k * _checked_scaling_sum(sq, k, "rescaled columns")
 
 
 def estimate_max_scaling(x: np.ndarray, cols: Sequence[int], k: int) -> float:
@@ -174,8 +188,10 @@ def estimate_max_scaling(x: np.ndarray, cols: Sequence[int], k: int) -> float:
     exactly 1.
 
     Raises:
+        ValidationError: k is not an integer of at least 1.
         ThresholdError: fewer than k rows with positive radius.
     """
+    k = _check_threshold_count(k)
     a = _as_sample(x)
     subset = _check_nodes(cols, a.shape[1])
     sub = [a[:, c - 1] for c in subset]
@@ -202,8 +218,9 @@ def estimate_rescaled_max_scaling(
         ordered: 1-based columns already ordered (may be empty).
         node: candidate column, not in ``ordered``.
         factor: inflation factor > 1.
-        k: exceedance count.
+        k: exceedance count, an integer of at least 1.
     """
+    k = _check_threshold_count(k)
     a = _as_sample(x)
     d = a.shape[1]
     grown = {c - 1 for c in _inflated_nodes(ordered, node, factor, d)}

@@ -276,14 +276,16 @@ def write_dot(
     Edge j -> i appears exactly when the (i, j) off-diagonal entry is
     positive.  For a max-linear coefficient matrix that support is the
     ancestral relation, so the graph holds an edge from every ancestor,
-    not only the DAG's edges.
+    not only the DAG's edges.  A label's backslashes and double quotes
+    are escaped, so any column name stays one quoted DOT string.
     """
     a = np.asarray(coef, dtype=np.float64)
     d = a.shape[0]
     names = list(labels) if labels is not None else default_column_names(d)
     lines = ["digraph model {"]
     for i in range(d):
-        lines.append(f'  n{i + 1} [label="{names[i]}"];')
+        label = names[i].replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  n{i + 1} [label="{label}"];')
     for i in range(d):
         for j in range(d):
             if i != j and a[i, j] > 0.0:

@@ -34,7 +34,8 @@ head ∪ {m} and the scaling of the maximum with that group inflated.
 ``FrechetMleScalings`` answers it from inverse squares it tables once,
 so each candidate costs two row minima and two sums and no power;
 ``SpectralScalings`` from squared columns it caches once, so each
-estimate is one banded row sum (``_kernels.scaling_sum``).  Each
+estimate adds the columns of its subset into squared radii and sums
+angles over the exceedance rows (``_kernels.scaling_sum``).  Each
 ``DeltaPass`` keeps its answer, which is where the scaling vector is
 read from.  No pass calls the per-subset methods ``max_scaling`` and
 ``rescaled_scaling``; they are the references the tests hold it to.
@@ -58,6 +59,7 @@ from .errors import (
 )
 from .estimation import (
     _as_sample,
+    _check_threshold_count,
     _max_scaling_of_squares,
     _rescaled_scaling_of_squares,
     estimate_max_scaling,
@@ -185,15 +187,16 @@ class SpectralScalings:
     ``estimate_rescaled_max_scaling``; both paths give the same bits.
 
     Raises:
-        ValidationError: the sample is not a non-empty, finite 2-D matrix.
+        ValidationError: k is not an integer of at least 1, or the
+            sample is not a non-empty, finite 2-D matrix.
         ThresholdError: a column is constant (all zero included), so
             no estimate that involves it carries tail information.
     """
 
     @_quiet
     def __init__(self, x: np.ndarray, k: int) -> None:
+        self._k = _check_threshold_count(k)
         self._cols = _varying_columns(x)
-        self._k = int(k)
         self._sq = self._cols * self._cols
         self._inflated_sq: dict[float, np.ndarray] = {}
         self._groups: dict[frozenset[int], float] = {}

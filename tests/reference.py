@@ -3,7 +3,7 @@
 Everything here is written with plain Python loops and explicit formulas,
 deliberately ignoring the package's own vectorized/kernel code paths, so a
 disagreement points at exactly one side.  The exceptions,
-``rowmajor_scaling_sum``, ``dense_max_times_product``,
+``column_order_scaling_sum``, ``dense_max_times_product``,
 ``searchsorted_frechet_transform``, ``masked_polar_scaling`` and
 ``per_subset_scaling_vector``, are the straightforward forms of code
 paths that must match them bit for bit.
@@ -241,22 +241,28 @@ def naive_scaling_sum(rows: list[list[float]], k: int) -> tuple[float, int, int]
     return acc, n_exc, n_pos
 
 
-def rowmajor_scaling_sum(x: np.ndarray, k: int) -> tuple[float, int, int]:
-    """``_kernels.scaling_sum`` as a row-major reduction of the whole (n, q)
-    sample: every row's squared radius is its ``sum(axis=1)``.  Not a
-    plain loop: this is the bit-level oracle for the banded kernel, which
-    must reproduce it exactly, rounding of every row sum included."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    sq = x * x
-    r2 = sq.sum(axis=1)
-    n_pos = int(np.count_nonzero(r2 > 0.0))
+def column_order_scaling_sum(x: np.ndarray, k: int) -> tuple[float, int, int]:
+    """``_kernels.scaling_sum`` by its definition: every row's squared
+    radius is its squares added left to right with ``+=`` (not ``sum()``,
+    which Python 3.12 and later compensates), and the ratios of the
+    exceedance rows are added in row order by numpy's ``.sum()``.  Not
+    a plain loop at the last step: this is the bit-level oracle for the
+    kernel, which must reproduce it exactly, rounding of every sum
+    included."""
+    r2 = []
+    peaks = []
+    for r in np.asarray(x, dtype=np.float64).tolist():
+        s = 0.0
+        for v in r:
+            s += v * v
+        r2.append(s)
+        peaks.append(max(v * v for v in r))
+    n_pos = sum(1 for s in r2 if s > 0.0)
     if n_pos < k:
-        return float("nan"), 0, n_pos
-    n = r2.shape[0]
-    thr = np.partition(r2, n - k)[n - k]
-    sel = r2 >= thr
-    acc = float((sq[sel].max(axis=1) / r2[sel]).sum())
-    return acc, int(np.count_nonzero(sel)), n_pos
+        return math.nan, 0, n_pos
+    thr = sorted(r2, reverse=True)[k - 1]
+    ratios = [p / s for p, s in zip(peaks, r2) if s >= thr]
+    return float(np.array(ratios).sum()), len(ratios), n_pos
 
 
 def dense_max_times_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:

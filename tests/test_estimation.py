@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 
 from maxlinear import (
     FrechetMleScalings,
+    ReorderConfig,
+    SpectralScalings,
     ThresholdError,
     ValidationError,
     default_threshold_count,
     empirical_frechet_transform,
     estimate_max_scaling,
     estimate_rescaled_max_scaling,
+    learn_order,
     max_scaling,
     negative_part,
     polar_decompose,
@@ -73,6 +76,54 @@ def test_scaling_from_polar_tiny_values():
 def test_estimate_max_scaling_matches_polar_path():
     got = estimate_max_scaling(TINY, [1, 2], k=2)
     assert got == pytest.approx(1.28)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 10_000), d=st.integers(1, 10))
+def test_estimate_max_scaling_matches_polar_path_on_continuous_samples(seed, d):
+    # continuous margins: no two radii tie, so both paths select the same rows
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 400))
+    x = rng.pareto(2.0, size=(n, d)) + 0.1
+    cols = sorted(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False) + 1)
+    k = int(rng.integers(1, n + 1))
+    got = estimate_max_scaling(x, cols, k)
+    want = scaling_from_polar(polar_decompose(x, cols, k))
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+_SAMPLE = np.random.default_rng(0).pareto(2.0, size=(500, 3)) + 0.1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k: estimate_max_scaling(_SAMPLE, [1, 2], k),
+        lambda k: estimate_rescaled_max_scaling(_SAMPLE, [1], 2, 2.0, k),
+        lambda k: polar_decompose(_SAMPLE, [1, 2], k),
+        lambda k: learn_order(SpectralScalings(_SAMPLE, k), ReorderConfig.data_preset()),
+    ],
+    ids=["estimate", "rescaled", "polar", "provider"],
+)
+@pytest.mark.parametrize(
+    "k", [0, -3, 2.5, "2"], ids=["zero", "negative", "fraction", "string"]
+)
+def test_threshold_count_must_be_an_integer_of_at_least_one(call, k):
+    with pytest.raises(ValidationError, match=f"threshold count k .* got {k!r}$"):
+        call(k)
+
+
+def test_threshold_count_accepts_numpy_integers():
+    k = np.int64(20)
+    want = estimate_max_scaling(_SAMPLE, [1, 2], 20)
+    assert estimate_max_scaling(_SAMPLE, [1, 2], k) == want
+    assert SpectralScalings(_SAMPLE, k).threshold_count == 20
+
+
+def test_scaling_from_polar_needs_a_column():
+    polar = polar_decompose(TINY, [1, 2], k=2)
+    with pytest.raises(ValidationError, match="over must name at least one column"):
+        scaling_from_polar(polar, over=[])
 
 
 def test_polar_drop_zero_radius_rows_and_fail_loudly():

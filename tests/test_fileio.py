@@ -302,3 +302,17 @@ def test_dot_edges_follow_prune_threshold(tmp_path):
     assert "n2 -> n1" in text and "n3 -> n2" in text
     write_dot(coef, p, labels=["a", "b", "c"])
     assert 'label="a"' in p.read_text()
+
+
+def test_dot_labels_escape_quotes_and_backslashes(tmp_path):
+    sample = tmp_path / "s.csv"
+    sample.write_text('"a""b",c\\d,e\n1,2,3\n4,5,6\n')
+    _, names = read_sample_csv(sample)
+    assert names == ['a"b', "c\\d", "e"]
+    p = tmp_path / "g.dot"
+    write_dot(np.eye(3), p, labels=names)
+    assert p.read_text().splitlines()[1:4] == [
+        '  n1 [label="a\\"b"];',
+        '  n2 [label="c\\\\d"];',
+        '  n3 [label="e"];',
+    ]

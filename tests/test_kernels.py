@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from maxlinear import _kernels as kern
 from reference import (
+    column_order_scaling_sum,
     dense_max_times_product,
     naive_max_matrix_product,
     naive_rowmax_invsq_mean,
     naive_scaling_sum,
-    rowmajor_scaling_sum,
 )
 
 
@@ -233,7 +233,7 @@ def test_inverse_squares_in_place_equals_the_allocating_form():
 
 
 # ---------------------------------------------------------------------------
-# bit identity of the banded scaling_sum with the row-major reduction
+# bit identity of scaling_sum with its column-order definition
 
 
 def _hard_sample(kind: str, seed: int, n: int, q: int) -> np.ndarray:
@@ -243,7 +243,7 @@ def _hard_sample(kind: str, seed: int, n: int, q: int) -> np.ndarray:
         x = rng.choice([0.0, 1.0, 2.0, 3.0], size=(n, q))
     elif kind == "permuted":
         # every row permutes one set of magnitudes, so the exact radii tie
-        # and only the rounding of each row sum separates them
+        # and only the rounding of each column-order sum separates them
         base = rng.uniform(1.0, 2.0, size=q) * 10.0 ** rng.integers(-8, 9, size=q)
         x = np.array([rng.permutation(base) for _ in range(n)]).reshape(n, q)
     else:  # "wide": squares that are subnormal, flush to zero or overflow
@@ -260,12 +260,12 @@ def _hard_sample(kind: str, seed: int, n: int, q: int) -> np.ndarray:
     q=st.integers(1, 14),
     frac=st.floats(0.0, 1.0),
 )
-def test_scaling_sum_equals_row_major_reference(kind, seed, n, q, frac):
+def test_scaling_sum_equals_column_order_reference(kind, seed, n, q, frac):
     x = _hard_sample(kind, seed, n, q)
     k = 1 + int(frac * (n - 1))
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         acc, n_exc, n_pos = kern.scaling_sum(_squared_columns(x), k)
-        want_acc, want_exc, want_pos = rowmajor_scaling_sum(x, k)
+        want_acc, want_exc, want_pos = column_order_scaling_sum(x, k)
     assert (n_exc, n_pos) == (want_exc, want_pos)
     assert acc == want_acc or (math.isnan(acc) and math.isnan(want_acc))
 

@@ -229,7 +229,8 @@ def test_mle_fits_keep_their_error_texts():
     factor=st.sampled_from([1.01, math.sqrt(2.0), 3.0]),
 )
 def test_spectral_pass_scalings_equal_per_subset_estimates(kind, data, d, n, factor):
-    # q >= 8 columns reach numpy's pairwise row sum in the row-major re-sum
+    # d = 10 and 12 add as many columns into each radius as the ten-node
+    # preset and more; both paths add them in the same column order
     x = data.draw(hnp.arrays(np.float64, (n, d), elements=_ELEMENTS[kind]))
     k = data.draw(st.integers(1, n))
     order = data.draw(st.permutations(range(1, d + 1)))

@@ -9,8 +9,8 @@ created.  Paths are relative to that directory and the timing line is
 left out, so two trees whose commands write the same bytes give the
 same JSON: diffing the file written on each side is the check.
 
-The commands: ``simulate`` at n = 100000 (seeds 0-1, the forked write)
-and n = 10000 (seeds 0-3); on each sample ``learn`` (default,
+The commands: ``simulate`` at n = 100000 (seeds 0-1) and n = 10000
+(seeds 0-3); on each sample ``learn`` (default,
 ``--scalings spectral --diagnostics``, ``--transform none`` and
 ``--model``), ``extremes --source both`` and ``transform`` (default and
 ``negate,negative-part``); then ``study --detail``.  The weight
@@ -20,8 +20,12 @@ unit`` and ``paper``.  The margin ops of ``learn``: ``--transform
 negate-frechet``, default and ``--scalings spectral``, on the seed-2
 sample.  The learn mode that never reads ``--eps3``: ``learn --data
 --eps3 0.2``.  Two chains whose path products underflow, into a node
-and on standardizing.  ``FILES`` holds the DAG and weight files, written
-before the first command.
+and on standardizing.  ``transform --ops negate`` on ``formats.csv``,
+whose values reach every branch of the CSV number formatter: subnormal,
+exponent form below 1e-4, the edges of fixed notation, a tie that rounds
+half to even, exponent form from 1e16 on, and zeros of both signs.
+``FILES`` holds the DAG, weight and sample files, written before the
+first command.
 
 Several commands fail: ``learn --scalings spectral --diagnostics`` on
 the ``simulate --n 10000 --seed 10`` sample and the default ``learn
@@ -85,7 +89,13 @@ COMMANDS += [
      "--eps3", "0.2"],
     ["simulate", "--out", "chain-tiny", "--dag", "chain.txt", "--weights", "tiny.csv"],
     ["simulate", "--out", "chain-wide", "--dag", "chain.txt", "--weights", "wide.csv"],
+    ["transform", "--out", "formats-negated.csv", "--data", "formats.csv", "--ops", "negate"],
 ]
+
+_FORMATS = (
+    "5e-324,1e-300,9.999999999999999e-05,1e-4,0.1,1000000000000000.5,"
+    "1000000000000000.25,9999999999999998,1e16,1e300,0,-0"
+)
 
 FILES = {
     "dag4.txt": "nodes: 4\n4 -> 3\n4 -> 2\n3 -> 1\n2 -> 1\n",
@@ -94,6 +104,10 @@ FILES = {
     "tiny.csv": "1,1e-200,0\n0,1,1e-200\n0,0,1\n",
     # it is 1e-320, and 0 once row 1 is divided by its norm 1e10
     "wide.csv": "1e10,1e-160,0\n0,1,1e-160\n0,0,1\n",
+    # the second row reverses the first, so each end value starts one row
+    # and ends the other
+    "formats.csv": ",".join(f"X{i}" for i in range(1, 13)) + "\n"
+    + _FORMATS + "\n" + ",".join(reversed(_FORMATS.split(","))) + "\n",
 }
 
 

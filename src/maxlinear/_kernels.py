@@ -102,26 +102,33 @@ def scaling_sum(sq: Sequence[np.ndarray], k: int) -> tuple[float, int, int]:
     components) over the rows with the k largest radii, ties included,
     in row order.  Returns ``(acc, n_exceed, n_positive)``; ``acc`` is
     nan when fewer than k rows have positive radius, and the caller is
-    expected to raise.  Squares that overflow to inf make a radius^2
-    and its ratio inf / inf, so ``acc`` is nan too.
+    expected to raise.  It is nan too when a radius^2 overflows to inf,
+    from inf squares or from finite ones whose sum overflows: the row of
+    the largest radius is always an exceedance row, so an exceedance
+    radius^2 is inf exactly when one overflows.  The sums run with
+    numpy's overflow warning silenced.
 
     The radii cost one O(n) pass per column and the threshold one
     ``np.partition``; only the exceedance rows (k of them, more on ties)
     are gathered for their peaks and ratios.
     """
     t = np.array(sq[0], dtype=np.float64)
-    for col in sq[1:]:
-        np.add(t, col, out=t)
+    with np.errstate(over="ignore"):
+        for col in sq[1:]:
+            np.add(t, col, out=t)
     n_pos = int(np.count_nonzero(t > 0.0))
     if n_pos < k:
         return float("nan"), 0, n_pos
     n = t.shape[0]
     thr = np.partition(t, n - k)[n - k]
     rows = np.flatnonzero(t >= thr)
+    radii = t[rows]
+    if np.isinf(radii).any():
+        return float("nan"), int(rows.size), n_pos
     peak = sq[0][rows]
     for col in sq[1:]:
         np.maximum(peak, col[rows], out=peak)
-    acc = float((peak / t[rows]).sum())
+    acc = float((peak / radii).sum())
     return acc, int(rows.size), n_pos
 
 

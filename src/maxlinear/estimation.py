@@ -101,13 +101,15 @@ def polar_decompose(x: np.ndarray, cols: Sequence[int], k: int) -> PolarSample:
     Raises:
         ValidationError: k is not an integer of at least 1.
         ThresholdError: fewer than k rows have positive radius on the
-            subset.
+            subset, or an exceedance radius^2 overflows, which the
+            largest one does whenever any does.
     """
     k = _check_threshold_count(k)
     a = _as_sample(x)
     subset = _check_nodes(cols, a.shape[1])
     sub = a[:, [c - 1 for c in subset]]
-    radii = np.sqrt((sub**2).sum(axis=1))
+    with np.errstate(over="ignore"):
+        radii = np.sqrt((sub**2).sum(axis=1))
     n_pos = int(np.count_nonzero(radii > 0.0))
     if n_pos < k:
         raise ThresholdError(
@@ -116,6 +118,8 @@ def polar_decompose(x: np.ndarray, cols: Sequence[int], k: int) -> PolarSample:
     # with at least k positive radii, the k-th largest radius is positive
     thr = float(np.partition(radii, a.shape[0] - k)[a.shape[0] - k])
     rows = np.flatnonzero(radii >= thr)
+    if np.isinf(radii[rows]).any():
+        raise ThresholdError(f"squared radii on columns {subset} overflow")
     return PolarSample(
         subset=subset,
         threshold_count=k,

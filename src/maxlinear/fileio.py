@@ -16,28 +16,26 @@ The ``*_auto`` readers pick JSON for a ``.json`` suffix and the text or
 CSV format otherwise.  All writes are deterministic: fixed float
 formatting, no timestamps.
 
-A large sample CSV is written on two CPUs (``_forked_half``): for a
-write of at least ``_SPLIT_WRITE_VALUES`` values, one forked child
-process formats the second half of the rows and sends the text back
-over a pipe while this process formats and writes the first half.  The
-split is taken only where ``os.fork`` exists and this process may run
-on two or more CPUs; matrices, reads and every other file stay serial.
-Each field is formatted on its own, so the bytes written do not depend
-on the split or the CPU count.
+Numbers in the two CSV formats are written ``%.17g``, byte for byte
+as ``np.savetxt`` with that format and CRLF line ends writes them, by
+one array kernel (``_format_rows``) per block of rows.
+Finite values with magnitude in [1e-4, 1e16), which ``%g`` writes in
+fixed notation, and zeros are formatted in the kernel: Dekker's
+error-free product (Dekker, Numer. Math. 18, 1971) gives the exact
+value of ``|v| * 10**(16 - E)``, so its 17 correctly rounded digits are
+an integer the kernel computes exactly, and table lookups turn them into
+text.  Every other value (nan, inf, subnormals, magnitudes below 1e-4
+or from 1e16 on) is formatted with ``%`` in one batch per block.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import gc
+import functools
 import json
-import os
-import shutil
-import signal
 import warnings
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -46,15 +44,9 @@ from .errors import FileFormatError, ValidationError
 
 FLOAT_FMT = "%.17g"
 
-# Rows per formatted chunk of a CSV write: keeps the format string and
-# the text written at once to a few hundred KB.
-_WRITE_BLOCK = 1024
-# Smallest sample CSV write, in values, whose second half a forked child
-# formats.  The fork, the pipe and the reaping cost about 5 ms in a 45 MB
-# process, which half the formatting saves at about 16,000 values (2 CPUs).
-_SPLIT_WRITE_VALUES = 1 << 15
-# The most of the child's output this process holds at once.
-_CHUNK = 1 << 16
+# Values per block of a CSV write: keeps the formatter's temporaries
+# near 1.5 MB.
+_WRITE_VALUES = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -110,22 +102,19 @@ def read_dag_auto(path: str | Path) -> DagStructure:
 
 def write_matrix_csv(matrix: np.ndarray, path: str | Path) -> None:
     a = np.asarray(matrix, dtype=np.float64)
-    with open(path, "w", newline="") as fh:
+    with open(path, "wb") as fh:
         fh.writelines(_row_blocks(a))
 
 
-def _row_blocks(a: np.ndarray) -> Iterator[str]:
+def _row_blocks(a: np.ndarray) -> Iterator[np.ndarray]:
     """Rows in the line format of ``csv.writer``: comma-separated, CRLF,
-    as one string per ``_WRITE_BLOCK`` rows.
+    as one byte array per block of about ``_WRITE_VALUES`` values.
 
-    The bytes are those of ``np.savetxt`` with ``fmt=FLOAT_FMT``, which
-    formats one row of numpy scalars at a time; here one ``%`` format
-    covers a block of rows of Python floats.
+    The bytes are those of ``np.savetxt`` with ``fmt=FLOAT_FMT``.
     """
-    row = ",".join([FLOAT_FMT] * a.shape[1]) + "\r\n"
-    for start in range(0, a.shape[0], _WRITE_BLOCK):
-        block = a[start : start + _WRITE_BLOCK]
-        yield (row * len(block)) % tuple(block.ravel().tolist())
+    rows = max(1, _WRITE_VALUES // max(1, a.shape[1]))
+    for start in range(0, a.shape[0], rows):
+        yield _format_rows(a[start : start + rows])
 
 
 def read_matrix_csv(path: str | Path) -> np.ndarray:
@@ -162,61 +151,6 @@ def default_column_names(d: int) -> list[str]:
     return [f"X{i}" for i in range(1, d + 1)]
 
 
-def _two_cpus() -> bool:
-    """Whether a forked child process can run beside this one."""
-    return (
-        hasattr(os, "fork")
-        and hasattr(os, "sched_getaffinity")
-        and len(os.sched_getaffinity(0)) >= 2
-    )
-
-
-@contextlib.contextmanager
-def _forked_half(produce: Callable[[BinaryIO], None]) -> Iterator[BinaryIO]:
-    """Run ``produce(pipe)`` in a forked child process while the block
-    runs here; yields the read end of the pipe the child writes to.
-
-    The child leaves only through ``os._exit``, with status 0 only when
-    ``produce`` returned: it flushes no buffer it inherited (an open
-    output file would get its header twice), runs no exit handler and
-    never returns into the caller; it collects no garbage either, so no
-    finalizer of an inherited object runs there.  The child is always
-    reaped.  When the block raises, ``KeyboardInterrupt`` included, the
-    child is killed first and the exception goes on; a child that did
-    not exit with status 0 after a block that did not raise is a
-    ``ChildProcessError``, and a failed fork an ``OSError`` as well.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            gc.disable()
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                produce(pipe)
-            status = 0
-        finally:
-            os._exit(status)
-    try:
-        with open(read_fd, "rb") as pipe:
-            os.close(write_fd)
-            yield pipe
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        raise
-    _, status = os.waitpid(pid, 0)
-    if status != 0:
-        code = os.waitstatus_to_exitcode(status)
-        raise ChildProcessError(f"the CSV helper process exited with code {code}")
-
-
 def write_sample_csv(
     x: np.ndarray, path: str | Path, columns: Sequence[str] | None = None
 ) -> None:
@@ -228,20 +162,8 @@ def write_sample_csv(
         raise ValidationError("column-name count does not match sample width")
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(names)
-        if a.size < _SPLIT_WRITE_VALUES or not _two_cpus():
-            fh.writelines(_row_blocks(a))
-            return
-        half = a.shape[0] // 2
-
-        def send(pipe: BinaryIO) -> None:
-            # every block first: a full pipe would hold the child up
-            # until this process has written its own half
-            pipe.writelines([text.encode(fh.encoding) for text in _row_blocks(a[half:])])
-
-        with _forked_half(send) as pipe:
-            fh.writelines(_row_blocks(a[:half]))
-            fh.flush()
-            shutil.copyfileobj(pipe, fh.buffer, _CHUNK)
+        fh.flush()
+        fh.buffer.writelines(_row_blocks(a))
 
 
 def read_sample_csv(path: str | Path) -> tuple[np.ndarray, list[str]]:
@@ -292,3 +214,189 @@ def write_dot(
                 lines.append(f'  n{j + 1} -> n{i + 1} [label="{a[i, j]:.3f}"];')
     lines.append("}")
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# %.17g rows
+#
+# Each value takes one 40-byte field of five 8-byte words:
+#
+#   byte  0      ","  the separator before the value
+#   byte  1      "-"
+#   bytes 2-6    "0.000", the "0." and up to three zeros of a value below 1
+#   byte  7      the first of the 17 significant digits
+#   bytes 8-39   ".d" for each further digit: a point that may precede it
+#
+# and a row ends in one word that holds "\r\n".  A byte mask drops what a
+# value does not use: the first separator of a row, the "-" of a positive
+# value, the point wherever it does not follow the integer digits, and
+# the trailing zeros of the fraction.  In fixed notation that mask only
+# depends on the sign, the decimal exponent X and the count S of digits
+# up to the last non-zero one, so a table holds it for each (sign, X, S).
+
+_FIELD = 40
+_EXP_MIN, _EXP_MAX = -4, 15  # the exponents of [1e-4, 1e16)
+_SIGNIFICANT = 17
+
+
+def _veltkamp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(hi, lo)`` with ``hi + lo == x`` exactly, each of at most 26
+    significant bits, so the product of two halves is exact."""
+    c = 134217729.0 * x  # 2**27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+# The tables are built on the first write, so that a command which
+# writes no CSV does not build them when it imports this module.
+
+
+@functools.cache
+def _pow10() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """10**p for p = 0..21, each an exact double (5**21 < 2**53), and its
+    halves."""
+    exact = np.cumprod(np.r_[1.0, np.full(21, 10.0)])
+    return (exact, *_veltkamp(exact))
+
+
+@functools.cache
+def _field_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The lookup tables of the field layout, built with array arithmetic:
+    the word of bytes 0-7 for each first digit, the ".d.d.d.d" word and
+    the count of trailing zeros (4 for 0) of each 4-digit chunk, and the
+    field mask of each (sign, X, S), one 40-byte void item each; the last
+    mask is that of a field written by %."""
+    lead = np.frombuffer(b",-0.000" * 10, np.uint8).reshape(10, 7)
+    lead = np.hstack([lead, ord("0") + np.arange(10, dtype=np.uint8)[:, None]])
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1).T  # of 0..9999
+    text = np.full((10_000, 8), ord("."), np.uint8)
+    text[:, 1::2] = ord("0") + digits
+    zeros = np.cumprod(digits[:, ::-1] == 0, axis=1).sum(axis=1, dtype=np.uint8)
+    neg = np.arange(2)[:, None, None, None]
+    x = np.arange(_EXP_MIN, _EXP_MAX + 1)[None, :, None, None]
+    s = np.arange(_SIGNIFICANT + 1)[None, None, :, None]
+    b = np.arange(_FIELD)  # digit i sits in byte 7 + 2i
+    # the separator, and the sign of a negative value
+    mask = (b == 0) | ((b == 1) & (neg == 1))
+    # the digits up to the last non-zero one; fixed notation keeps the
+    # integer digits even where they are zeros
+    kept = np.where(x >= 0, np.maximum(s, x + 1), s)
+    mask = mask | ((b >= 7) & (b % 2 == 1) & ((b - 7) // 2 < kept))
+    # the point after digit X, when a fraction follows
+    mask = mask | ((x >= 0) & (b == 2 * x + 8) & (s > x + 1))
+    # "0." and -X - 1 zeros before the digits of a value below 1
+    mask = mask | ((x < 0) & ((b == 2) | (b == 3) | ((b >= 4) & (b < 3 - x))))
+    mask = np.vstack([mask.reshape(-1, _FIELD), b == 0])
+    return (
+        lead.view(np.uint64).ravel(),
+        text.view(np.uint64).ravel(),
+        zeros,
+        mask.astype(np.uint8).view(f"V{_FIELD}").ravel(),
+    )
+
+
+# the widest %.17g text, as in "-2.2250738585072014e-308"
+_PERCENT_WIDTH = 24
+_ROW_END = np.frombuffer(b"\r\n\0\0\0\0\0\0", np.uint64)[0]
+_ROW_END_MASK = np.frombuffer(b"\1\1\0\0\0\0\0\0", np.uint64)[0]
+
+
+def _times_pow10(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(h, l)`` with ``h + l == a * 10**(16 - e)`` exactly (Dekker's
+    product: h is the rounded product and l its rounding error)."""
+    pow10, pow10_hi, pow10_lo = _pow10()
+    p = 16 - e
+    h = a * pow10[p]
+    hi, lo = pow10_hi[p], pow10_lo[p]
+    a_hi, a_lo = _veltkamp(a)
+    err = h - a_hi * hi
+    err -= a_lo * hi
+    err -= a_hi * lo
+    low = a_lo * lo
+    low -= err
+    return h, low
+
+
+def _digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The decimal exponent E, the first digit and the other 16 digits in
+    four 4-digit chunks of the 17 correctly rounded significant digits
+    of each entry of ``a``, which is 0 or in [1e-4, 1e16); 0 has E = 0
+    and only zero digits."""
+    # the digits are |v| * 10**(16 - E), a number in [1e16, 1e17); log10
+    # may miss E by one next to a power of ten, which the exact product
+    # shows
+    positive = a > 0
+    e = np.zeros(a.shape)
+    np.log10(a, out=e, where=positive)
+    e = np.floor(e, out=e).astype(np.intp)
+    h, low = _times_pow10(a, e)
+    under = ((h < 1e16) | ((h == 1e16) & (low < 0))) & positive
+    over = (h > 1e17) | ((h == 1e17) & (low >= 0))
+    wrong = under | over
+    if wrong.any():
+        e -= under
+        e += over
+        h[wrong], low[wrong] = _times_pow10(a[wrong], e[wrong])
+    # From 2**53 on a double is an even integer, so h + rint(low) rounds
+    # the exact product half to even, as % does.  It stays below 1e17:
+    # rounding up to 1e17 would take a value within 5e-18 of a power of
+    # ten below it, and no double of [1e-4, 1e16) is.  h + rint(low) need
+    # not be a double, so its digits are taken as two exact parts, the
+    # first 9 (q) and the last 8 (r).
+    q = np.floor(h * 1e-8)
+    r = h - q * 1e8
+    r += np.rint(low, out=low)
+    carry = np.floor(r * 1e-8)
+    q += carry
+    r -= carry * 1e8
+    lead = np.floor(q * 1e-8)
+    q -= lead * 1e8
+    c1 = np.floor(q * 1e-4)
+    q -= c1 * 1e4
+    c3 = np.floor(r * 1e-4)
+    r -= c3 * 1e4
+    return e, lead.astype(np.intp), [c.astype(np.intp) for c in (c1, q, c3, r)]
+
+
+def _format_rows(block: np.ndarray) -> np.ndarray:
+    """The rows of ``block`` in ``%.17g``, comma-separated and each ended
+    by CRLF, as one byte array."""
+    n, d = block.shape
+    a = np.abs(block)
+    fast = (a >= 1e-4) & (a < 1e16)
+    # zeros, and the values left to %, take the digits of 0 here
+    e, lead, chunks = _digits(np.where(fast, a, 0.0))
+    lead_words, chunk_words, chunk_zeros, masks = _field_tables()
+    # trailing zeros of the 16 digits after the first, chunk by chunk
+    zeros = chunk_zeros[chunks[0]]
+    for c in chunks[1:]:
+        z = chunk_zeros[c]
+        zeros *= z == 4
+        zeros += z
+    # the mask row of (sign, X, S) with S = 17 - zeros
+    code = np.signbit(block) * (_EXP_MAX - _EXP_MIN + 1) + (e - _EXP_MIN)
+    code *= _SIGNIFICANT + 1
+    code += _SIGNIFICANT
+    code -= zeros
+    by_percent = ~fast & (block != 0)
+    code[by_percent] = len(masks) - 1
+    words = np.empty((n, 5 * d + 1), np.uint64)
+    fields = words[:, : 5 * d].reshape(n, d, 5)
+    fields[:, :, 0] = lead_words[lead]
+    for k, c in enumerate(chunks, 1):
+        fields[:, :, k] = chunk_words[c]
+    words[:, -1] = _ROW_END
+    mask = np.empty_like(words)
+    mask[:, : 5 * d].view(f"V{_FIELD}")[...] = masks[code]
+    mask[:, -1] = _ROW_END_MASK
+    text, keep = words.view(np.uint8), mask.view(np.uint8)
+    if by_percent.any():
+        rows, cols = np.nonzero(by_percent)
+        values = tuple(block[rows, cols].tolist())
+        padded = (f"%-{_PERCENT_WIDTH}.17g" * len(values) % values).encode()
+        at = rows[:, None], (cols * _FIELD + 1)[:, None] + np.arange(_PERCENT_WIDTH)
+        text[at] = np.frombuffer(padded, np.uint8).reshape(-1, _PERCENT_WIDTH)
+        keep[at] = text[at] != ord(" ")
+    if d:
+        keep[:, 0] = 0  # no separator before the first value of a row
+    return np.compress(keep.ravel().view(bool), text.ravel())

@@ -245,10 +245,10 @@ def column_order_scaling_sum(x: np.ndarray, k: int) -> tuple[float, int, int]:
     """``_kernels.scaling_sum`` by its definition: every row's squared
     radius is its squares added left to right with ``+=`` (not ``sum()``,
     which Python 3.12 and later compensates), and the ratios of the
-    exceedance rows are added in row order by numpy's ``.sum()``.  Not
-    a plain loop at the last step: this is the bit-level oracle for the
-    kernel, which must reproduce it exactly, rounding of every sum
-    included."""
+    exceedance rows are added in row order by numpy's ``.sum()``; the
+    sum is nan when an exceedance radius overflows.  Not a plain loop
+    at the last step: this is the bit-level oracle for the kernel, which
+    must reproduce it exactly, rounding of every sum included."""
     r2 = []
     peaks = []
     for r in np.asarray(x, dtype=np.float64).tolist():
@@ -262,6 +262,8 @@ def column_order_scaling_sum(x: np.ndarray, k: int) -> tuple[float, int, int]:
         return math.nan, 0, n_pos
     thr = sorted(r2, reverse=True)[k - 1]
     ratios = [p / s for p, s in zip(peaks, r2) if s >= thr]
+    if any(math.isinf(s) for s in r2 if s >= thr):
+        return math.nan, len(ratios), n_pos
     return float(np.array(ratios).sum()), len(ratios), n_pos
 
 

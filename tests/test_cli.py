@@ -722,16 +722,21 @@ def test_cli_import_leaves_out_concurrent_futures():
     assert proc.stdout == "False\n"
 
 
-def test_split_csv_commands_are_quiet_in_dev_mode(tmp_path):
-    # -X dev -W error turns an unclosed pipe (ResourceWarning) or a fork
-    # warning into a failure; 5000 rows of ten make the sample write
-    # large enough to take a forked helper on two CPUs
+def test_csv_commands_are_quiet_in_dev_mode(tmp_path):
+    # -X dev -W error turns an unclosed file (ResourceWarning) or a numpy
+    # warning of the CSV formatter, such as log10(0) or an invalid value,
+    # into a failure; the transforms write negative values and "-0"
     paths = [str(Path(maxlinear.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     sim, learn = tmp_path / "sim", tmp_path / "learn"
+    sample = str(sim / "sample.csv")
     for argv in (
         ["simulate", "--out", str(sim), "--n", "5000"],
-        ["learn", "--out", str(learn), "--data", str(sim / "sample.csv")],
+        ["learn", "--out", str(learn), "--data", sample],
+        ["transform", "--out", str(tmp_path / "negated.csv"), "--data", sample,
+         "--ops", "negate"],
+        ["transform", "--out", str(tmp_path / "zeros.csv"), "--data", sample,
+         "--ops", "negative-part,negate"],
     ):
         proc = subprocess.run(
             [sys.executable, "-X", "dev", "-W", "error", "-m", "maxlinear.cli", *argv],
@@ -758,6 +763,10 @@ def _out_of_range_inputs(tmp_path: Path) -> dict[str, Path]:
         "huge_diagonal": "1e300,0\n0,1\n",
         "huge_sample": "X1,X2,X3\n1,2,3\n1e308,1e308,1\n4,5,6\n",
         "small_sample": "X1,X2\n1,2\n3,4\n5,6\n",
+        # 1e154**2 is finite, a sum of two such squares is not
+        "huge_row_sample": "X1,X2,X3\n"
+        + "".join(f"{i % 7 + 1},{i % 5 + 2},{i % 3 + 3}\n" for i in range(399))
+        + "1e154,1e154,1e154\n",
         "text_header": "nodes: abc\n2 -> 1\n",
         "second_header": "nodes: 2\nnodes: 3\n2 -> 1\n",
     }
@@ -820,6 +829,13 @@ OUT_OF_RANGE_CASES = [
         id="extremes-simulated-overflow",
     ),
     pytest.param(
+        ["learn", "--data", "{huge_row_sample}", "--transform", "none",
+         "--scalings", "spectral", "--k", "1"],
+        3,
+        "squared radii on rescaled columns overflow",
+        id="learn-spectral-overflow",
+    ),
+    pytest.param(
         ["simulate", "--dag", "{text_header}"],
         4,
         "cannot parse DAG header: 'nodes: abc'",
@@ -867,6 +883,7 @@ def test_out_of_range_inputs_end_in_one_typed_error(tmp_path, argv, code, messag
             "extremes-overflow",
             "path-products-underflow",
             "simulate-standardize-underflow",
+            "learn-spectral-overflow",
         )
     ],
 )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -134,6 +136,19 @@ def test_polar_drop_zero_radius_rows_and_fail_loudly():
         polar_decompose(x, [1, 2], k=2)
     with pytest.raises(ThresholdError):
         estimate_max_scaling(np.zeros((5, 2)), [1, 2], k=1)
+
+
+@pytest.mark.filterwarnings("error")  # the overflowing sum must not warn either
+@pytest.mark.parametrize("k", [1, 4])
+def test_a_radius_that_overflows_from_finite_squares_is_refused(k):
+    # 1e154**2 is finite and the sum of two such squares is not; the row
+    # of the largest radius is an exceedance row whatever k is
+    x = np.array([[1e154, 1e154], [1.0, 2.0], [3.0, 1.0], [2.0, 2.0]])
+    message = re.escape("squared radii on columns (1, 2) overflow")
+    with pytest.raises(ThresholdError, match=message):
+        estimate_max_scaling(x, [1, 2], k)
+    with pytest.raises(ThresholdError, match=message):
+        polar_decompose(x, [1, 2], k)
 
 
 def test_threshold_ties_kept_divisor_fixed():

@@ -6,9 +6,12 @@ import io
 import json
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxlinear import (
     DagStructure,
@@ -16,7 +19,6 @@ from maxlinear import (
     ValidationError,
     ten_node_dag,
 )
-from maxlinear import fileio
 from maxlinear.fileio import (
     default_column_names,
     read_dag_auto,
@@ -208,23 +210,20 @@ def test_sample_and_matrix_csv_layout(tmp_path):
     assert m.read_bytes() == want.encode().split(b"\r\n", 1)[1]
 
 
-@pytest.fixture()
-def forks(monkeypatch):
-    """Counts the forks made, and checks that none is left unreaped."""
-    made = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: made.append(1) or fork())
-    yield made
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("d", [1, 10])
 @pytest.mark.parametrize(
     "n", [1, 1023, 1024, 1025, 2047, 2048, 2049, 3276, 3277, 4097, 100_000]
 )
-def test_csv_rows_are_savetxt_bytes(tmp_path, monkeypatch, forks, n, d):
-    special = [np.inf, np.nan, -0.0, 5e-324, 1e300, 0.1]
+def test_csv_rows_are_savetxt_bytes(tmp_path, n, d):
+    tiny = np.nextafter(1e-4, 0)
+    special = [
+        np.inf, np.nan, -0.0, 5e-324, 1e300, 0.1,
+        # the edges of fixed notation, a double above 2**53, a short
+        # dyadic fraction and two ties that % rounds half to even
+        1e-4, tiny, -tiny, 9.9999999999999999e-5,
+        1e16, np.nextafter(1e16, 0), np.nextafter(1e16, np.inf),
+        2.0**53 + 2, 1e15 + 0.5, 0.125, 1e15 + 0.25, -1e15 - 0.75,
+    ]
     rng = np.random.default_rng(n * d)
     x = rng.standard_exponential((n, d)) ** -0.5
     x.flat[rng.choice(n * d, size=min(n * d, len(special)), replace=False)] = special[: n * d]
@@ -236,53 +235,40 @@ def test_csv_rows_are_savetxt_bytes(tmp_path, monkeypatch, forks, n, d):
     written = p.read_bytes()
     assert written.split(b"\r\n", 1)[1] == want
     assert written.count(b"X") == d  # the header, once
-    # a sample of at least _SPLIT_WRITE_VALUES values (3277 rows of ten)
-    # formats its second half in a child; a matrix never does
-    assert len(forks) == (n * d >= fileio._SPLIT_WRITE_VALUES)
     write_matrix_csv(x, p)
     assert p.read_bytes() == want
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert os.listdir(tmp_path) == ["x.csv"]
+
+
+_ANY_BITS = st.integers(0, 2**64 - 1).map(lambda b: np.uint64(b).view(np.float64).item())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from([1, 3, 10]),
+    values=st.lists(st.floats() | _ANY_BITS, min_size=1, max_size=90),
+)
+def test_sample_csv_is_a_percent_join_of_any_doubles(tmp_path_factory, d, values):
+    # nan, inf, subnormals and every bit pattern, each exactly as '%.17g'
+    x = np.resize(np.array(values, dtype=np.float64), (len(values) + d - 1) // d * d)
+    x = x.reshape(-1, d)
+    p = tmp_path_factory.mktemp("x") / "x.csv"
     write_sample_csv(x, p)
-    assert p.read_bytes() == written
-    assert len(forks) == (n * d >= fileio._SPLIT_WRITE_VALUES)
-    assert os.listdir(tmp_path) == ["x.csv"]
+    rows = "".join(",".join("%.17g" % v for v in row) + "\r\n" for row in x.tolist())
+    assert p.read_bytes().split(b"\r\n", 1)[1] == rows.encode()
 
 
-def _raising(fn, error, *, in_child):
-    """``fn``, raising ``error`` in any forked child (``in_child``) or in
-    this process only."""
-    parent = os.getpid()
-
-    def wrapper(*args):
-        if (os.getpid() != parent) == in_child:
-            raise error
-        return fn(*args)
-
-    return wrapper
-
-
-def test_sample_csv_write_child_failure_is_an_os_error(tmp_path, monkeypatch, forks):
-    x = np.ones((4096, 10))
+def test_sample_csv_write_allocates_little_beyond_the_sample(tmp_path):
+    x = (np.random.default_rng(0).standard_exponential((10, 100_000)) ** -0.5).T
     p = tmp_path / "x.csv"
-    child_fails = _raising(fileio._row_blocks, RuntimeError("child"), in_child=True)
-    monkeypatch.setattr(fileio, "_row_blocks", child_fails)
-    with pytest.raises(OSError, match="exited with code 1"):
+    tracemalloc.start()
+    try:
         write_sample_csv(x, p)
-    assert len(forks) == 1
-    assert os.listdir(tmp_path) == ["x.csv"]
-    assert p.read_bytes().count(b"X") == 10  # the header, once
-
-
-@pytest.mark.parametrize("error", [KeyboardInterrupt(), ValueError("parent")])
-def test_sample_csv_write_interrupted_here_kills_the_child(tmp_path, monkeypatch, forks, error):
-    x = np.ones((4096, 10))
-    p = tmp_path / "x.csv"
-    monkeypatch.setattr(fileio, "_row_blocks", _raising(fileio._row_blocks, error, in_child=False))
-    with pytest.raises(type(error)):
-        write_sample_csv(x, p)
-    assert len(forks) == 1
-    assert os.listdir(tmp_path) == ["x.csv"]
-    assert p.read_bytes().count(b"X") == 10  # the header, once
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+    assert p.stat().st_size > 100_000 * 10 * 17
 
 
 # ---------------------------------------------------------------------------

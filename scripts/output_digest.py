@@ -24,8 +24,15 @@ and on standardizing.  ``transform --ops negate`` on ``formats.csv``,
 whose values reach every branch of the CSV number formatter: subnormal,
 exponent form below 1e-4, the edges of fixed notation, a tie that rounds
 half to even, exponent form from 1e16 on, and zeros of both signs.
-``FILES`` holds the DAG, weight and sample files, written before the
-first command.
+``learn --scalings spectral --diagnostics`` and ``extremes --source
+real`` on ``rounded.csv``, ``simulate(ten_node_model(), 0, 5000)``
+rounded to integers: after the rank transform 72 rows reach the 71st largest
+squared radius of the full-vector decomposition (k = 71), so a change
+to how a radius is summed or the threshold is drawn shows in the
+learned coefficients, and pair radii tie at the 50th largest, so a
+change to how ``extremes`` breaks ties shows in its rows.  ``FILES``
+holds the DAG, weight and sample files, written before the first
+command.
 
 Several commands fail: ``learn --scalings spectral --diagnostics`` on
 the ``simulate --n 10000 --seed 10`` sample and the default ``learn
@@ -47,6 +54,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
+from maxlinear import simulate, ten_node_model
 from maxlinear.cli import main as cli_main
 
 SAMPLES = [(100_000, 0), (100_000, 1)] + [(10_000, seed) for seed in range(4)]
@@ -90,12 +100,24 @@ COMMANDS += [
     ["simulate", "--out", "chain-tiny", "--dag", "chain.txt", "--weights", "tiny.csv"],
     ["simulate", "--out", "chain-wide", "--dag", "chain.txt", "--weights", "wide.csv"],
     ["transform", "--out", "formats-negated.csv", "--data", "formats.csv", "--ops", "negate"],
+    ["learn", "--out", "rounded-spectral", "--data", "rounded.csv",
+     "--scalings", "spectral", "--diagnostics"],
+    ["extremes", "--out", "rounded-extremes.csv", "--data", "rounded.csv",
+     "--source", "real"],
 ]
 
 _FORMATS = (
     "5e-324,1e-300,9.999999999999999e-05,1e-4,0.1,1000000000000000.5,"
     "1000000000000000.25,9999999999999998,1e16,1e300,0,-0"
 )
+
+
+def _rounded_sample() -> str:
+    # whole numbers, which "%d" writes exactly
+    x = np.round(simulate(ten_node_model(), 0, 5000))
+    header = ",".join(f"X{i}" for i in range(1, 11))
+    return header + "\n" + "".join(",".join("%d" % v for v in row) + "\n" for row in x)
+
 
 FILES = {
     "dag4.txt": "nodes: 4\n4 -> 3\n4 -> 2\n3 -> 1\n2 -> 1\n",
@@ -108,6 +130,7 @@ FILES = {
     # and ends the other
     "formats.csv": ",".join(f"X{i}" for i in range(1, 13)) + "\n"
     + _FORMATS + "\n" + ",".join(reversed(_FORMATS.split(","))) + "\n",
+    "rounded.csv": _rounded_sample(),
 }
 
 

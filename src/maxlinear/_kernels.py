@@ -6,30 +6,27 @@ order-learning sweeps:
 * max-times matrix products (model simulation), swept one output
   column at a time over the non-zero entries of the right factor only,
 * thresholded angular sums over the squared columns of a sample
-  (``scaling_sum``, the spectral scaling estimates), which add the
-  columns into each row's squared radius, O(n) per column, and form
+  (``scaling_sum``, the spectral scaling estimates): each row's squared
+  radius (``squared_radii``, O(n) per column) and the threshold
+  (``exceedance_rows``), which the polar decomposition shares, then
   peaks and angles for the exceedance rows only,
 * inverse-square means of row maxima of column-scaled samples
   (Frechet maximum-likelihood scalings), for every candidate of one
   ordering pass at once (``pass_invsq_means``): ``power(., -2.0)`` is
   monotone, so the inverse square of a row maximum is the row minimum
   of inverse squares tabled once per column, and a candidate costs two
-  ``np.fmin`` and two sums instead of two n-length powers (about 6 us
-  against 150 us per 10^4 elements on a 2-CPU x86-64 host, numpy 2.4);
+  ``np.fmin`` and two sums instead of two n-length powers;
   ``scaled_rowmax_invsq_mean``, one weighted subset at a time, is the
   reference it is tested against.
 
 The kernels write into buffers the caller owns where that saves a
 temporary: ``max_times_product(..., out=)`` fills the column slice of
 a (d, n) sample that ``model.simulate`` hands it, and
-``inverse_squares(x, out=x)`` powers a table in place.  A fresh 10^4 x
-10 float64 temporary is 800 KB, which glibc maps and unmaps anew, so
-each one costs some 200 minor page faults at about 3 us each (2-CPU
-x86-64 host).  Writing in place cut a ``study`` command (sizes 2000 to
-10^4, one run each) from about 1,690 faults to 740-775, and the outputs
-keep their bits: an in-place ufunc runs the same loop on the same
-contiguous rows as the allocating one.  An n-length temporary (80 KB at
-n = 10^4) is reused from the heap, so ``pass_invsq_means`` makes its own.
+``inverse_squares(x, out=x)`` powers a table in place (the README's
+*Performance* has the page faults this saves).  The outputs keep their
+bits: an in-place ufunc runs the same loop on the same contiguous rows
+as the allocating one.  An n-length temporary (80 KB at n = 10^4) is
+reused from the heap, so ``pass_invsq_means`` makes its own.
 
 Callers reach each kernel through this module (``_kernels.<name>``)
 rather than importing the function, so there is one place to replace or
@@ -74,10 +71,7 @@ def max_times_product(
     but ``out`` may be a column slice of a wider buffer, which is how
     ``model.simulate`` has every block write its own rows of one (d, n)
     sample.  Without ``out`` one is allocated.  The return value is
-    ``out.T``, the (n, m) column-major view.  On a 10^4 x 10
-    block of the ten-node preset, filling ``out`` took 0.78 ms with no
-    page fault, against 1.78 ms and 358 faults to allocate the product
-    and copy it into the sample (2-CPU x86-64 host, numpy 2.4).
+    ``out.T``, the (n, m) column-major view.
     """
     cols = np.ascontiguousarray(left.T, dtype=np.float64)
     if out is None:
@@ -91,45 +85,48 @@ def max_times_product(
     return out.T
 
 
+def squared_radii(sq: Sequence[np.ndarray]) -> np.ndarray:
+    """Each row's squared radius, the q squared columns ``sq`` added in
+    column order (the estimator leaves the order free, so this is its
+    definition), in a new array; overflow to inf is silent."""
+    r2 = np.array(sq[0], dtype=np.float64)
+    with np.errstate(over="ignore"):
+        for col in sq[1:]:
+            np.add(r2, col, out=r2)
+    return r2
+
+
+def exceedance_rows(r2: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """``(rows, n_positive)``: in row order the rows whose squared radius
+    reaches the k-th largest in ``r2``, ties included, or none when fewer
+    than k of them are positive; and the count of positive ones."""
+    n_pos = int(np.count_nonzero(r2 > 0.0))
+    if n_pos < k:
+        return np.empty(0, dtype=np.intp), n_pos
+    n = r2.shape[0]
+    return np.flatnonzero(r2 >= np.partition(r2, n - k)[n - k]), n_pos
+
+
 def scaling_sum(sq: Sequence[np.ndarray], k: int) -> tuple[float, int, int]:
     """Thresholded angular sum over the rows of q squared columns.
 
     ``sq`` holds q columns of length n with the squared coordinates of a
     sample, for example views into a cached (d, n) array of squares.
-    Per row, radius^2 is the sum of the row's squares added in column
-    order, ``sq[0] + sq[1] + ...``, and peak^2 its largest entry.  The
-    kernel sums peak^2 / radius^2 (the max of the squared angular
-    components) over the rows with the k largest radii, ties included,
-    in row order.  Returns ``(acc, n_exceed, n_positive)``; ``acc`` is
-    nan when fewer than k rows have positive radius, and the caller is
-    expected to raise.  It is nan too when a radius^2 overflows to inf,
-    from inf squares or from finite ones whose sum overflows: the row of
-    the largest radius is always an exceedance row, so an exceedance
-    radius^2 is inf exactly when one overflows.  The sums run with
-    numpy's overflow warning silenced.
-
-    The radii cost one O(n) pass per column and the threshold one
-    ``np.partition``; only the exceedance rows (k of them, more on ties)
-    are gathered for their peaks and ratios.
+    Sums peak^2 / radius^2, the largest squared angular component, over
+    the ``exceedance_rows`` of the ``squared_radii`` in row order; only
+    those rows (k, more on ties) are gathered.  Returns ``(acc, n_exceed,
+    n_positive)``; ``acc`` is nan, for the caller to raise, when fewer
+    than k radii are positive or an exceedance radius^2 is inf.
     """
-    t = np.array(sq[0], dtype=np.float64)
-    with np.errstate(over="ignore"):
-        for col in sq[1:]:
-            np.add(t, col, out=t)
-    n_pos = int(np.count_nonzero(t > 0.0))
-    if n_pos < k:
-        return float("nan"), 0, n_pos
-    n = t.shape[0]
-    thr = np.partition(t, n - k)[n - k]
-    rows = np.flatnonzero(t >= thr)
-    radii = t[rows]
-    if np.isinf(radii).any():
+    r2 = squared_radii(sq)
+    rows, n_pos = exceedance_rows(r2, k)
+    r2 = r2[rows]
+    if n_pos < k or np.isinf(r2).any():
         return float("nan"), int(rows.size), n_pos
     peak = sq[0][rows]
     for col in sq[1:]:
         np.maximum(peak, col[rows], out=peak)
-    acc = float((peak / radii).sum())
-    return acc, int(rows.size), n_pos
+    return float((peak / r2).sum()), int(rows.size), n_pos
 
 
 def _invsq_mean(m: np.ndarray) -> float:

@@ -15,9 +15,10 @@ Two estimator variants exist side by side:
   prefactor adjusted for the inflated total mass.
 
 Both reduce to one kernel over squared columns, ``_kernels.scaling_sum``,
-in which a row's squared radius is its squared columns added in column
-order: the estimator leaves that order free, and this one costs one
-O(n) pass per column.
+whose radius (squared columns added in column order) and threshold (the
+k-th largest squared radius, ties included) ``polar_decompose`` shares:
+``scaling_from_polar`` of a decomposition is ``estimate_max_scaling``
+bit for bit, and both refuse the same inputs with the same message.
 The public estimators validate and square their sample on every call;
 ``ordering.SpectralScalings`` validates and squares it once and feeds
 the same kernel views of its cached columns, with bit-identical results.
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -71,13 +72,12 @@ def _as_sample(x: np.ndarray) -> np.ndarray:
 class PolarSample:
     """Exceedances of a sample's polar decomposition over a coordinate subset.
 
-    The exceedance rows are every row whose radius is at least
-    ``threshold_value``, the k-th largest positive radius; on ties that
-    is more than k rows.  ``exceedance_squares`` holds their squared
-    angles, one row each in observation order, so every estimate read
-    off one decomposition shares them.  Only these rows are divided by
-    their radius and squared, the same arithmetic on the same values as
-    forming every angle and selecting afterwards.
+    The exceedance rows reach the k-th largest squared radius on the
+    subset, which is positive; on ties that is more than k rows.
+    ``threshold_value`` is its square root.  ``exceedance_squares`` holds
+    their squared angles, squared coordinate / squared radius, one row
+    each in observation order, so every estimate read off one
+    decomposition shares them.
     """
 
     subset: tuple[int, ...]
@@ -93,6 +93,9 @@ class PolarSample:
 def polar_decompose(x: np.ndarray, cols: Sequence[int], k: int) -> PolarSample:
     """Radius/angle decomposition of selected columns with a k-threshold.
 
+    Its radii and exceedance rows are those of ``_kernels.scaling_sum``,
+    so ``scaling_from_polar`` of it is ``estimate_max_scaling`` bit for bit.
+
     Args:
         x: (n, d) sample matrix.
         cols: 1-based column labels forming the subset.
@@ -101,30 +104,23 @@ def polar_decompose(x: np.ndarray, cols: Sequence[int], k: int) -> PolarSample:
     Raises:
         ValidationError: k is not an integer of at least 1.
         ThresholdError: fewer than k rows have positive radius on the
-            subset, or an exceedance radius^2 overflows, which the
-            largest one does whenever any does.
+            subset, or an exceedance radius^2 overflows.
     """
     k = _check_threshold_count(k)
     a = _as_sample(x)
     subset = _check_nodes(cols, a.shape[1])
-    sub = a[:, [c - 1 for c in subset]]
+    sq = a[:, [c - 1 for c in subset]]
     with np.errstate(over="ignore"):
-        radii = np.sqrt((sub**2).sum(axis=1))
-    n_pos = int(np.count_nonzero(radii > 0.0))
-    if n_pos < k:
-        raise ThresholdError(
-            f"only {n_pos} rows with positive radius on columns {subset}, need k={k}"
-        )
-    # with at least k positive radii, the k-th largest radius is positive
-    thr = float(np.partition(radii, a.shape[0] - k)[a.shape[0] - k])
-    rows = np.flatnonzero(radii >= thr)
-    if np.isinf(radii[rows]).any():
-        raise ThresholdError(f"squared radii on columns {subset} overflow")
+        np.square(sq, out=sq)
+    r2 = _kernels.squared_radii(sq.T)
+    rows, n_pos = _kernels.exceedance_rows(r2, k)
+    r2 = r2[rows]
+    _check_estimable(n_pos, k, bool(np.isinf(r2).any()), f"columns {subset}")
     return PolarSample(
         subset=subset,
         threshold_count=k,
-        threshold_value=thr,
-        exceedance_squares=(sub[rows] / radii[rows, None]) ** 2,
+        threshold_value=math.sqrt(r2.min()),
+        exceedance_squares=sq[rows] / r2[:, None],
     )
 
 
@@ -154,16 +150,18 @@ def scaling_from_polar(polar: PolarSample, over: Sequence[int] | None = None) ->
     return float(len(polar.subset) / polar.threshold_count * w2.max(axis=1).sum())
 
 
-def _checked_scaling_sum(sq: Sequence[np.ndarray], k: int, where: str) -> float:
-    """``_kernels.scaling_sum`` of ``sq``, raising where it has no estimate;
-    ``where`` names the columns in the messages."""
-    acc, _, n_pos = _kernels.scaling_sum(sq, k)
+def _check_estimable(n_pos: int, k: int, overflow: bool, where: str) -> None:
+    """Refuse an estimate on ``where`` with < k positive radii or an overflow."""
     if n_pos < k:
-        raise ThresholdError(
-            f"only {n_pos} rows with positive radius on {where}, need k={k}"
-        )
-    if not math.isfinite(acc):
+        raise ThresholdError(f"only {n_pos} rows with positive radius on {where}, need k={k}")
+    if overflow:
         raise ThresholdError(f"squared radii on {where} overflow")
+
+
+def _checked_scaling_sum(sq: Sequence[np.ndarray], k: int, where: str) -> float:
+    """``_kernels.scaling_sum`` of ``sq``, refused by ``_check_estimable``."""
+    acc, _, n_pos = _kernels.scaling_sum(sq, k)
+    _check_estimable(n_pos, k, not math.isfinite(acc), where)
     return acc
 
 
@@ -174,32 +172,36 @@ def _max_scaling_of_squares(
     return len(subset) / k * _checked_scaling_sum(sq, k, f"columns {subset}")
 
 
+def _inflated_columns(labels: Iterable[int]) -> str:
+    """``where`` of a rescaled estimate that inflates ``labels``."""
+    return f"all columns with columns {tuple(sorted(labels))} inflated"
+
+
 def _rescaled_scaling_of_squares(
-    sq: Sequence[np.ndarray], n_inflated: int, factor: float, k: int
+    sq: Sequence[np.ndarray], n_inflated: int, factor: float, k: int, where: str
 ) -> float:
-    """Rescaled estimate from all squared columns, ``n_inflated`` of them
-    taken after inflation by ``factor``."""
+    """Rescaled estimate from squared columns ``where``, ``n_inflated``
+    of them taken after inflation by ``factor``."""
     mass = (factor**2 - 1.0) * n_inflated + len(sq)
-    return mass / k * _checked_scaling_sum(sq, k, "rescaled columns")
+    return mass / k * _checked_scaling_sum(sq, k, where)
 
 
 def estimate_max_scaling(x: np.ndarray, cols: Sequence[int], k: int) -> float:
     """Reduced-subset estimate of the squared scaling of ``max_{i in cols} X_i``.
 
-    Equivalent to ``scaling_from_polar(polar_decompose(x, cols, k))``
-    but runs fused in one pass over the squared columns.  For a
-    singleton subset the angle is identically 1 and the estimate is
-    exactly 1.
+    Bit for bit ``scaling_from_polar(polar_decompose(x, cols, k))``,
+    fused into one pass over the squared columns.  For a singleton
+    subset the angle is identically 1 and the estimate is exactly 1.
 
     Raises:
         ValidationError: k is not an integer of at least 1.
-        ThresholdError: fewer than k rows with positive radius.
+        ThresholdError: fewer than k rows with positive radius, or an
+            exceedance radius^2 overflows.
     """
     k = _check_threshold_count(k)
     a = _as_sample(x)
     subset = _check_nodes(cols, a.shape[1])
-    sub = [a[:, c - 1] for c in subset]
-    return _max_scaling_of_squares([v * v for v in sub], subset, k)
+    return _max_scaling_of_squares([np.square(a[:, c - 1]) for c in subset], subset, k)
 
 
 def estimate_rescaled_max_scaling(
@@ -227,9 +229,9 @@ def estimate_rescaled_max_scaling(
     k = _check_threshold_count(k)
     a = _as_sample(x)
     d = a.shape[1]
-    grown = {c - 1 for c in _inflated_nodes(ordered, node, factor, d)}
-    cols = [factor * a[:, j] if j in grown else a[:, j] for j in range(d)]
-    return _rescaled_scaling_of_squares([v * v for v in cols], len(grown), factor, k)
+    labels = _inflated_nodes(ordered, node, factor, d)
+    sq = [np.square(factor * a[:, j] if j + 1 in labels else a[:, j]) for j in range(d)]
+    return _rescaled_scaling_of_squares(sq, len(labels), factor, k, _inflated_columns(labels))
 
 
 def negative_part(x: np.ndarray) -> np.ndarray:

@@ -30,12 +30,8 @@ estimates (``SpectralScalings`` for the angular estimators,
 ``FrechetMleScalings`` for the parametric ones).  Each pass subtracts
 ``all_node_scaling()`` and makes one call, ``pass_scalings(ordered,
 factor)``, which returns for every unordered candidate m the scaling of
-head ∪ {m} and the scaling of the maximum with that group inflated.
-``FrechetMleScalings`` answers it from inverse squares it tables once,
-so each candidate costs two row minima and two sums and no power;
-``SpectralScalings`` from squared columns it caches once, so each
-estimate adds the columns of its subset into squared radii and sums
-angles over the exceedance rows (``_kernels.scaling_sum``).  Each
+head ∪ {m} and the scaling of the maximum with that group inflated;
+the data providers answer it from tables they form once.  Each
 ``DeltaPass`` keeps its answer, which is where the scaling vector is
 read from.  No pass calls the per-subset methods ``max_scaling`` and
 ``rescaled_scaling``; they are the references the tests hold it to.
@@ -60,6 +56,7 @@ from .errors import (
 from .estimation import (
     _as_sample,
     _check_threshold_count,
+    _inflated_columns,
     _max_scaling_of_squares,
     _rescaled_scaling_of_squares,
     estimate_max_scaling,
@@ -250,7 +247,9 @@ class SpectralScalings:
             grown = hs | {m}
             group = self._group(grown)
             sq = [inflated[j] if j + 1 in grown else self._sq[j] for j in range(d)]
-            out[m] = (group, _rescaled_scaling_of_squares(sq, len(grown), factor, self._k))
+            where = _inflated_columns(grown)
+            rescaled = _rescaled_scaling_of_squares(sq, len(grown), factor, self._k, where)
+            out[m] = (group, rescaled)
         return out
 
     @_quiet
@@ -259,7 +258,8 @@ class SpectralScalings:
         each estimated on the two columns alone."""
         factor = float(factor)
         sq = [self._sq[i - 1], self._inflated(factor)[m - 1]]
-        inflated = _rescaled_scaling_of_squares(sq, 1, factor, self._k)
+        where = f"columns ({i}, {m}) with column {m} inflated"
+        inflated = _rescaled_scaling_of_squares(sq, 1, factor, self._k, where)
         return self._group(frozenset((i, m))), inflated
 
 

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import fileio
+from . import _kernels, fileio
 from .asymptotics import recovery_variance_positive
 from .dag import DagStructure, path_coefficients, validate_edge_weights
 from .errors import ThresholdError, ValidationError
@@ -605,7 +605,7 @@ def _parse_pairs(spec: str, d: int) -> list[tuple[int, int]]:
 
 def _top_pair_rows(x: np.ndarray, i: int, j: int, count: int) -> np.ndarray:
     with np.errstate(over="ignore"):
-        r2 = np.square(x[:, i - 1]) + np.square(x[:, j - 1])
+        r2 = _kernels.squared_radii([np.square(x[:, i - 1]), np.square(x[:, j - 1])])
     if np.isinf(r2).any():  # rows whose r^2 is inf would tie
         raise ThresholdError(f"squared radii on pair {i}-{j} overflow")
     take = min(count, x.shape[0])

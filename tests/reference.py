@@ -178,19 +178,23 @@ def masked_polar_scaling(
     x: np.ndarray, subset: tuple[int, ...], k: int, over: list[int]
 ) -> float:
     """``scaling_from_polar(polar_decompose(x, subset, k), over)`` the
-    long way: every radius of the sample, zero radii dropped, the angle of
-    every remaining row, then the exceedance mask and the squares.  Not a
-    plain loop: this is the bit-level oracle for the decomposition that
-    forms only the exceedance rows and shares their squares."""
-    sub = np.asarray(x, dtype=np.float64)[:, [c - 1 for c in subset]]
-    radii = np.sqrt((sub**2).sum(axis=1))
-    keep = radii > 0.0
-    radii = radii[keep]
-    angles = sub[keep] / radii[:, None]
-    thr = np.partition(radii, radii.shape[0] - k)[radii.shape[0] - k]
+    long way, by the definition: every row's squared radius is its
+    squares added column by column, left to right with ``+=``, zero
+    radii are dropped, every remaining row's squared angle is squared
+    coordinate / squared radius, then the threshold is read off a full
+    sort and the exceedance mask applied.  Not a plain loop: this is the
+    bit-level oracle for the decomposition that forms only the
+    exceedance rows and shares their squares."""
+    sq = np.asarray(x, dtype=np.float64)[:, [c - 1 for c in subset]] ** 2
+    r2 = np.zeros(sq.shape[0])
+    for c in range(sq.shape[1]):
+        r2 += sq[:, c]
+    keep = r2 > 0.0
+    r2 = r2[keep]
+    w2 = sq[keep] / r2[:, None]
+    thr = np.sort(r2)[r2.shape[0] - k]
     pos = [subset.index(c) for c in over]
-    w2 = angles[radii >= thr][:, pos] ** 2
-    return float(len(subset) / k * w2.max(axis=1).sum())
+    return float(len(subset) / k * w2[r2 >= thr][:, pos].max(axis=1).sum())
 
 
 def per_subset_scaling_vector(provider, order_labels: list[int]) -> np.ndarray:

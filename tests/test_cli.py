@@ -994,6 +994,27 @@ def test_missing_dag_file(tmp_path):
     assert rc == 4
 
 
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ('{"nodes": 3.7, "edges": [[2, 1]]}', "3.7"),
+        ('{"nodes": 3, "edges": [[2.5, 1]]}', "2.5"),
+        ('{"nodes": 3, "edges": [[2, 1.0]]}', "1.0"),
+        ('{"nodes": 3, "edges": [[true, 2], [2, 1]]}', "true"),
+        ('{"nodes": "3", "edges": [[2, 1]]}', '"3"'),
+    ],
+    ids=["float-count", "float-label", "whole-float-label", "bool-label", "string-count"],
+)
+def test_dag_json_takes_integers_only(tmp_path, text, value, capsys):
+    # int() would truncate 2.5 to node 2 and read true as node 1
+    dag = tmp_path / "dag.json"
+    dag.write_text(text)
+    out = tmp_path / "s"
+    assert main(["simulate", "--out", str(out), "--dag", str(dag), "--weights", "unit"]) == 4
+    assert capsys.readouterr().err == f"error: DAG JSON {dag}: {value} is not an integer\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # timing: the CLI prints one line per successful command
 

@@ -172,6 +172,17 @@ def test_a_radius_that_overflows_from_finite_squares_is_refused(k):
         estimate_rescaled_max_scaling(x, [], 2, 1.01, k)
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_square_that_overflows_is_refused_without_a_warning():
+    # 1e200**2 is inf, and so is (2 * 1e154)**2: the public estimators
+    # raise the polar decomposition's text, not numpy's overflow warning
+    with pytest.raises(ThresholdError, match=re.escape("columns (1, 2) overflow")):
+        estimate_max_scaling([[1e200, 1], [1, 2], [3, 1]], [1, 2], 1)
+    inflated = re.escape("squared radii on all columns with columns (1,) inflated overflow")
+    with pytest.raises(ThresholdError, match=inflated):
+        estimate_rescaled_max_scaling([[1e154, 1], [1, 2], [3, 1]], [], 1, 2.0, 1)
+
+
 def test_threshold_ties_kept_divisor_fixed():
     # five rows all at radius 5 with k=2: every row is an exceedance
     rows = np.array([[3.0, 4.0], [4.0, 3.0], [5.0, 0.0], [0.0, 5.0], [3.0, 4.0]])

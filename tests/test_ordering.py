@@ -364,7 +364,6 @@ def test_unrelated_pair_diamond(diamond_model):
 
 def test_learn_generations_ten_node_exact(preset_model):
     res = learn_generations(ExactScalings(preset_model), ReorderConfig.simulation_preset())
-    assert res.valid
     assert res.generations == tuple(tuple(sorted(g)) for g in TEN_NODE_GENERATIONS)
     assert res.discovery == (10, 8, 9, 5, 6, 7, 1, 2, 3, 4)
     kinds = [p.kind for p in res.passes]
@@ -383,7 +382,6 @@ def test_learn_generations_recovers_true_generations_exact(d, seed):
     dag = random_well_ordered_dag(d, rng)
     coef = standardize(path_coefficients(dag, random_weights(dag, rng)))
     res = learn_generations(ExactScalings(coef), EXACT)
-    assert res.valid
     truth = tuple(tuple(sorted(g)) for g in dag.generations())
     assert res.generations == truth
 
@@ -395,17 +393,11 @@ def test_learn_generations_strict_failure_paths(two_node_model):
     impossible = ReorderConfig(eps1=0.0, eps2=0.0)
     with pytest.raises(NoInitialNodeError):
         learn_generations(prov, impossible)
-    partial = learn_generations(prov, impossible, strict=False)
-    assert not partial.valid
-    assert partial.discovery == ()
     # initial band wide enough for node 2 only, zero-width generation band:
     # pass one succeeds, pass two finds nothing
     gen_block = ReorderConfig(eps1=0.1, eps2=0.1, eps3=0.0)
     with pytest.raises(EmptyGenerationError):
         learn_generations(prov, gen_block)
-    partial2 = learn_generations(prov, gen_block, strict=False)
-    assert not partial2.valid
-    assert partial2.discovery == (2,)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +420,6 @@ def test_learn_order_exact_precedes_descendants_200_dags():
         dag = random_well_ordered_dag(d, rng)
         coef = standardize(path_coefficients(dag, random_weights(dag, rng)))
         res = learn_order(ExactScalings(coef), EXACT)
-        assert res.valid
         pos = {lab: i for i, lab in enumerate(res.discovery)}
         for v in range(1, d + 1):
             for anc in dag.ancestors(v):
@@ -451,7 +442,6 @@ def test_pairwise_initial_raises_when_band_empty(two_node_model):
 def test_learn_order_ten_node_data_frozen_seed(preset_model):
     xt = empirical_frechet_transform(simulate(preset_model, 0, 10_000))
     res = learn_order(SpectralScalings(xt, 100), ReorderConfig.data_preset())
-    assert res.valid
     assert res.discovery == (10, 9, 8, 6, 5, 7, 1, 4, 2, 3)
     # topologically consistent with the generating DAG
     dag = ten_node_dag()
@@ -482,11 +472,10 @@ def test_learn_order_ten_node_data_uses_cached_columns(preset_model, monkeypatch
         monkeypatch.setattr(ordering, name, counted(getattr(ordering, name), "estimate"))
     for module in (ordering, estimation):
         monkeypatch.setattr(module, "_as_sample", counted(module._as_sample, "validate"))
-    res = learn_order(SpectralScalings(xt, 100), ReorderConfig.data_preset())
+    learn_order(SpectralScalings(xt, 100), ReorderConfig.data_preset())
     # every estimate of the screen and the argmax passes reads the
     # provider's squared columns, validated once at construction
     assert calls == {"estimate": 0, "validate": 1}
-    assert res.valid
 
 
 def test_learn_order_ten_node_mle_provider_frozen_seed(preset_model, monkeypatch):
@@ -505,7 +494,6 @@ def test_learn_order_ten_node_mle_provider_frozen_seed(preset_model, monkeypatch
     # and the recorded passes: nothing is fitted subset by subset
     scaling_vector_from_provider(prov, res)
     assert fitted == []
-    assert res.valid
     dag = ten_node_dag()
     pos = {lab: i for i, lab in enumerate(res.discovery)}
     for v in range(1, 11):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from maxlinear import (
     ExactScalings,
     FrechetMleScalings,
     LearnResult,
+    MaxLinearError,
     ReorderConfig,
     ValidationError,
     empirical_frechet_transform,
@@ -31,7 +33,7 @@ from maxlinear import (
     subset_at,
     ten_node_model,
 )
-from maxlinear import _kernels
+from maxlinear import _kernels, pipeline
 from maxlinear.fileio import (
     read_sample_csv,
     write_matrix_csv,
@@ -250,15 +252,9 @@ def test_learn_dot_uses_learned_edges(tmp_path):
 
 def test_scaling_vector_from_provider_identity_order(preset_model):
     # a run with no recorded pass: every head costs one provider pass
-    identity = LearnResult(tuple(range(10, 0, -1)), None, (), True, ReorderConfig())
+    identity = LearnResult(tuple(range(10, 0, -1)), None, (), ReorderConfig())
     got = scaling_vector_from_provider(ExactScalings(preset_model), identity)
     np.testing.assert_allclose(got, scaling_vector(preset_model), atol=1e-12)
-
-
-def test_scaling_vector_from_provider_needs_a_complete_run(preset_model):
-    partial = LearnResult((10,), None, (), False, ReorderConfig())
-    with pytest.raises(ValidationError, match="complete ordering"):
-        scaling_vector_from_provider(ExactScalings(preset_model), partial)
 
 
 def test_mle_scaling_vector_equals_per_subset_fits():
@@ -300,8 +296,7 @@ def test_mle_ordering_and_scaling_vector_make_no_per_subset_fit(monkeypatch):
     assert len(res.passes[0].accepted) == 3  # two heads no pass formed
     scaling_vector_from_provider(prov, res)
     prov = FrechetMleScalings(simulate(ten_node_model(), 0, 3000))
-    gen = learn_generations(prov, ReorderConfig(), strict=False)
-    assert gen.valid
+    gen = learn_generations(prov, ReorderConfig())
     scaling_vector_from_provider(prov, gen)
 
 
@@ -385,6 +380,34 @@ def test_study_paper_policy_redraws_weights(tmp_path):
     assert row.correct < row.runs
     payload = json.loads((tmp_path / "s" / "study.json").read_text())
     assert payload["weights"] == "paper"
+
+
+def test_study_counts_the_runs_that_raise(tmp_path, monkeypatch):
+    # at these sizes most runs stop at an empty initial or generation pass;
+    # each such run counts as not valid and the study goes on
+    raised = Counter()
+
+    def counted(provider, cfg):
+        try:
+            return learn_generations(provider, cfg)
+        except MaxLinearError as exc:
+            raised[type(exc).__name__] += 1
+            raise
+
+    monkeypatch.setattr(pipeline, "learn_generations", counted)
+    res = run_study(StudyConfig(out=str(tmp_path / "s"), sizes=(100, 300), runs=30, seed=0))
+    assert [(r.size, r.runs, r.valid, r.correct) for r in res.rows] == [
+        (100, 30, 1, 0),
+        (300, 30, 5, 0),
+    ]
+    assert raised == {"NoInitialNodeError": 35, "EmptyGenerationError": 19}
+    lines = (tmp_path / "s" / "study.csv").read_text().splitlines()
+    assert lines[1:] == ["100,30,1,0,0.00", "300,30,5,0,0.00"]
+    # no complete run: the ratio is nan in the CSV and null in the JSON
+    run_study(StudyConfig(out=str(tmp_path / "none"), sizes=(100,), runs=5, seed=0))
+    assert (tmp_path / "none" / "study.csv").read_text().endswith("\n100,5,0,0,nan\n")
+    payload = json.loads((tmp_path / "none" / "study.json").read_text())
+    assert payload["rows"][0]["ratio_percent"] is None
 
 
 def test_study_workers_do_not_change_counts(tmp_path):

@@ -58,6 +58,24 @@ def test_output_digest_is_reproducible():
     assert first[2]["files"] == {}
 
 
+def test_outputs_match_the_committed_digest():
+    # DIGEST.json pins the bytes of every command of the script's n = 10000
+    # set; a change that alters outputs on purpose regenerates it with
+    # `scripts/output_digest.py --pinned DIGEST.json`
+    script = _load("output_digest")
+    committed = json.loads((ROOT / "DIGEST.json").read_text())
+    made, here = {k: committed[k] for k in ("python", "numpy")}, script.versions()
+    assert made == here, f"DIGEST.json was made under {made}, this is {here}"
+    fresh = script.pinned_digest()["records"]
+    assert [r["argv"] for r in fresh] == [r["argv"] for r in committed["records"]]
+    changed = [
+        " ".join(new["argv"])
+        for old, new in zip(committed["records"], fresh)
+        if old != new
+    ]
+    assert not changed, "outputs differ from DIGEST.json:\n" + "\n".join(changed)
+
+
 def test_perfbench_tracer_finds_every_traced_name():
     # the tracer wraps package functions and provider methods by name, so
     # a refactor that drops one must fail here, not only under --trace

@@ -16,11 +16,13 @@ The commands: ``simulate`` at n = 100000 (seeds 0-1) and n = 10000
 ``negate,negative-part``); then ``study --detail``.  The weight
 builders: ``simulate --weights paper``, ``study --weights paper --runs 5
 --detail``, and ``simulate`` on a four-node DAG file under ``--weights
-unit`` and ``paper``.  The margin ops of ``learn``: ``--transform
-negate-frechet``, default and ``--scalings spectral``, on the seed-2
-sample.  The learn mode that never reads ``--eps3``: ``learn --data
---eps3 0.2``.  Two chains whose path products underflow, into a node
-and on standardizing.  ``transform --ops negate`` on ``formats.csv``,
+unit`` and ``paper``.  The first pass of the default ``learn``: a
+``--weights unit`` sample of ``roots.txt``, whose nodes 4 and 3 have no
+parent, where it takes the root with the larger delta.  The margin ops
+of ``learn``: ``--transform negate-frechet``, default and ``--scalings
+spectral``, on the seed-2 sample.  The learn run that never reads
+``--eps3``: ``learn --data --eps3 0.2``.  Two chains whose path
+products underflow, into a node and on standardizing.  ``transform --ops negate`` on ``formats.csv``,
 whose values reach every branch of the CSV number formatter: subnormal,
 exponent form below 1e-4, the edges of fixed notation, a tie that rounds
 half to even, exponent form from 1e16 on, and zeros of both signs.
@@ -35,9 +37,8 @@ holds the DAG, weight and sample files, written before the first
 command.
 
 Several commands fail: ``learn --scalings spectral --diagnostics`` on
-the ``simulate --n 10000 --seed 10`` sample and the default ``learn
---transform negate-frechet`` on the seed-2 sample exit 3 in the initial
-pass, ``learn --data --eps3 0.2`` and the two underflowing chains exit
+the ``simulate --n 10000 --seed 10`` sample exits 3 in the pairwise
+screen, ``learn --data --eps3 0.2`` and the two underflowing chains exit
 2, and ``learn`` on a missing sample file exits 4.
 
 ``PINNED`` is the part of ``COMMANDS`` that touches no n = 100000
@@ -111,6 +112,8 @@ COMMANDS += [
      "--scalings", "spectral", "--diagnostics"],
     ["extremes", "--out", "rounded-extremes.csv", "--data", "rounded.csv",
      "--source", "real"],
+    ["simulate", "--out", "sim-roots", "--dag", "roots.txt", "--weights", "unit"],
+    ["learn", "--out", "sim-roots-learn", "--data", "sim-roots/sample.csv"],
 ]
 
 PINNED = [cmd for cmd in COMMANDS if not any(a.startswith("sim-100000") for a in cmd)]
@@ -130,6 +133,8 @@ def _rounded_sample() -> str:
 
 FILES = {
     "dag4.txt": "nodes: 4\n4 -> 3\n4 -> 2\n3 -> 1\n2 -> 1\n",
+    # two parentless nodes, 4 and 3
+    "roots.txt": "nodes: 4\n4 -> 2\n3 -> 2\n2 -> 1\n",
     "chain.txt": "nodes: 3\n3 -> 2\n2 -> 1\n",
     # the path product into node 1 of 3 underflows to 0
     "tiny.csv": "1,1e-200,0\n0,1,1e-200\n0,0,1\n",

@@ -65,10 +65,10 @@ HELP = {
     "workers": "accepted and checked (>= 1) but unused: study runs on one thread",
     "data": "sample CSV (learn: estimated mode)",
     "model": "coefficient matrix file (learn: exact-scalings mode; extremes: simulated source)",
-    "k": "radial threshold count for --scalings spectral; None means ceil(sqrt(n))",
+    "k": "radial threshold count, --scalings spectral only; None means ceil(sqrt(n))",
     "a": "scaling factor a > 1; None keeps the ordering preset",
-    "eps1": "initial-pass upper tolerance; None keeps the ordering preset",
-    "eps2": "initial-pass lower tolerance; None keeps the ordering preset",
+    "eps1": "initial-band upper tolerance, refused by learn --scalings mle; None keeps the preset",
+    "eps2": "initial-band lower tolerance, refused by learn --scalings mle; None keeps the preset",
     "eps3": "generation-pass tolerance; None keeps the ordering preset",
     "transform": "margin transform before estimation: frechet, negate-frechet or none",
     "scalings": "data-mode estimator: mle (Fréchet likelihood) or spectral (angular, at k)",

@@ -32,13 +32,18 @@ class DagStructure:
     """Immutable DAG on nodes 1..d given as a set of (parent, child) edges.
 
     Args:
-        node_count: number of nodes d >= 1.
+        node_count: number of nodes d >= 1.  It and every label must be
+            an integer, a numpy one included, and not a bool.
         edges: iterable of (parent, child) pairs with distinct labels in
             1..d.  Duplicates collapse; self-loops are rejected; a
             directed cycle raises ``CyclicGraphError``.
     """
 
     def __init__(self, node_count: int, edges) -> None:
+        edges = [tuple(e) for e in edges]
+        for v in (node_count, *(label for e in edges for label in e)):
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValidationError(f"node count or label {v!r} is not an integer")
         if node_count < 1:
             raise ValidationError(f"node_count must be >= 1, got {node_count}")
         edge_set = set()

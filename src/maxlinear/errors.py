@@ -33,8 +33,8 @@ class ThresholdError(MaxLinearError):
 
 
 class NoInitialNodeError(MaxLinearError):
-    """The initial-node search accepted no candidate; tolerances may be
-    too tight for the data at hand."""
+    """The initial band of ``learn_generations`` or the pairwise screen
+    accepted no candidate; eps1/eps2 may be too tight for the data."""
     exit_code = 3
 
 

@@ -6,23 +6,24 @@ inflating trick separates ancestors from non-ancestors: if the
 candidate node has no unordered ancestors the inflated and plain
 scalings differ by exactly ``(a^2 - 1)`` times the scaling of the
 inflated group, otherwise by strictly less.  The gap, written
-``delta`` throughout, drives one discovery loop: an initial pass picks
-the first nodes, then each step computes the deltas of the unordered
-nodes given the ordered head and extends the head.
+``delta`` throughout, drives one discovery loop: each pass computes the
+deltas of the unordered nodes given the ordered head and extends the
+head.  The pass with the empty head keeps the kind ``"initial"``.
 
-There are two initial passes:
+``learn_order`` takes the single largest delta in every pass, from the
+empty head on: eligible nodes sit at the top, so the rule is
+noise-robust and reads no tolerance, and only an exact tie falls back
+to the smaller label.  Two runs start from a band instead:
 
-* the threshold pass accepts nodes whose delta sits inside a small band
-  around zero (parentless nodes have delta exactly zero);
-* the pairwise screen, the data-frugal variant on a sample, tests each
-  node against every single partner instead of all nodes at once.
-
-and two step policies:
-
-* ``learn_generations`` accepts every node with |delta| within the band,
-  yielding whole generations at a time;
-* ``learn_order`` takes the single largest delta, which is noise-robust
-  since eligible nodes sit at the top.
+* ``learn_generations`` starts with the threshold pass, which accepts
+  the nodes whose delta lies in [-eps2, eps1] (parentless nodes have
+  delta exactly zero), and then accepts every node with |delta| within
+  eps3, whole generations at a time;
+* ``learn_order`` on ``SpectralScalings`` starts with the pairwise
+  screen, the data-frugal variant on a sample, which tests each node
+  against every single partner instead of all nodes at once.  It
+  appends its band in label order until a tail-based first step
+  replaces it.
 
 Scalings are supplied by a provider object so the loop runs
 identically on exact model scalings (``ExactScalings``) and on data
@@ -80,12 +81,12 @@ class ReorderConfig:
     """Tuning constants of the ordering procedure; the scaling source is
     the provider's, not a field here.
 
-    ``a`` is the inflation factor; ``eps1``/``eps2`` bound the accepted
-    delta band for initial nodes from above/below; ``eps3`` bounds
-    |delta| in the generation passes.  The defaults are the simulation
-    preset; ``data_preset`` returns the configuration used for raw
-    heavy-tailed data where a barely-inflating factor keeps the deltas
-    comparable across dependent estimates.
+    ``a`` is the inflation factor; ``eps1``/``eps2`` bound the initial
+    band of ``learn_generations`` and of the pairwise screen from
+    above/below; ``eps3`` bounds |delta| in the generation passes.  The
+    defaults are the simulation preset; ``data_preset`` returns the
+    configuration used for raw heavy-tailed data where a barely-inflating
+    factor keeps the deltas comparable across dependent estimates.
     """
 
     a: float = math.sqrt(2.0)
@@ -428,20 +429,10 @@ def _single(deltas: Mapping[int, float]) -> dict[int, tuple[float, float]]:
 
 
 def _in_band(bounds: Mapping[int, tuple[float, float]], cfg: ReorderConfig) -> tuple:
-    """The nodes whose delta range (lo, hi) lies in [-eps2, eps1], ascending."""
+    """The nodes whose delta range (lo, hi) lies in [-eps2, eps1], in
+    label order, as both bands append them."""
     inside = (m for m, (lo, hi) in bounds.items() if -cfg.eps2 <= lo and hi <= cfg.eps1)
     return tuple(sorted(inside))
-
-
-def _threshold_pass(provider: ScalingProvider, cfg: ReorderConfig) -> DeltaPass:
-    """Initial pass: nodes whose inflation delta lies in [-eps2, eps1].
-
-    Exact scalings put parentless nodes at delta zero and all others
-    strictly below; the band absorbs estimation noise.
-    """
-    deltas, scalings = _pass_deltas(provider, (), cfg)
-    bounds = _single(deltas)
-    return DeltaPass("initial", (), bounds, _in_band(bounds, cfg), scalings)
 
 
 def _pairwise_pass(provider: SpectralScalings, cfg: ReorderConfig) -> DeltaPass:
@@ -474,23 +465,23 @@ def _argmax_node(deltas: Mapping[int, float]) -> int:
 
 
 def _discover(
-    provider: ScalingProvider, first: DeltaPass, cfg: ReorderConfig, step: str
+    provider: ScalingProvider, cfg: ReorderConfig, step: str, first: DeltaPass | None
 ) -> LearnResult:
     """The discovery loop shared by both entry points.
 
-    Starts from the nodes ``first`` accepted and extends the ordered head
-    by one pass of kind ``step`` at a time: ``"generation"`` accepts all
-    nodes with |delta| <= eps3, ``"argmax"`` the single largest delta.
-    A run either orders every node or raises at the first empty pass.
+    Starts from the nodes ``first`` accepted, or else from the empty head
+    with an ``"initial"`` pass of rule ``step``, and extends the ordered
+    head one pass at a time: ``"generation"`` accepts all nodes with
+    |delta| <= eps3, ``"argmax"`` the single largest delta.  A run either
+    orders every node or raises at the first empty pass.
     """
-    if not first.accepted:
+    passes = [] if first is None else [first]
+    discovery = [m for p in passes for m in p.accepted]
+    if passes and not discovery:
         test = "pairwise initial" if first.kind == "initial-pairwise" else "initial"
         raise NoInitialNodeError(
             f"no node passed the {test} test; consider relaxing eps1/eps2"
         )
-    passes = [first]
-    discovery = list(first.accepted)
-    generations = [first.accepted]
 
     while len(discovery) < provider.node_count:
         deltas, scalings = _pass_deltas(provider, discovery, cfg)
@@ -502,44 +493,44 @@ def _discover(
             raise EmptyGenerationError(
                 f"no node passed the generation test with head {tuple(discovery)}"
             )
-        passes.append(DeltaPass(step, tuple(discovery), _single(deltas), accepted, scalings))
+        kind = step if discovery else "initial"
+        passes.append(DeltaPass(kind, tuple(discovery), _single(deltas), accepted, scalings))
         discovery.extend(accepted)
-        generations.append(accepted)
 
-    kept = tuple(generations) if step == "generation" else None
+    kept = tuple(p.accepted for p in passes) if step == "generation" else None
     return LearnResult(tuple(discovery), kept, tuple(passes), cfg)
 
 
 def learn_generations(provider: ScalingProvider, cfg: ReorderConfig) -> LearnResult:
-    """Threshold-mode ordering: initial nodes, then one generation per pass.
+    """Threshold-mode ordering: the initial nodes whose delta lies in
+    [-eps2, eps1], then one generation per pass.
 
-    Each accepted set is canonicalized in ascending label order before
-    joining the discovery sequence.  The simulation-study harness counts
-    the runs that raise.
+    Exact scalings put parentless nodes at delta zero and all others
+    strictly below; the band absorbs estimation noise.  Each accepted set
+    is canonicalized in ascending label order before joining the discovery
+    sequence.  The simulation-study harness counts the runs that raise.
 
     Raises:
         NoInitialNodeError: the initial band caught nothing.
         EmptyGenerationError: a generation pass caught nothing.
     """
-    first = _threshold_pass(provider, cfg)
-    return _discover(provider, first, cfg, "generation")
+    deltas, scalings = _pass_deltas(provider, (), cfg)
+    bounds = _single(deltas)
+    first = DeltaPass("initial", (), bounds, _in_band(bounds, cfg), scalings)
+    return _discover(provider, cfg, "generation", first)
 
 
 def learn_order(provider: ScalingProvider, cfg: ReorderConfig) -> LearnResult:
-    """One-node-at-a-time ordering: an initial pass, then repeated argmax
-    steps on the provider's scalings.
+    """One-node-at-a-time ordering: the largest delta of every pass.
 
-    ``SpectralScalings`` starts with the pairwise initial-node screen,
-    at its threshold count.  Any other provider starts with the
-    threshold initial pass: noise-free with ``ExactScalings`` (how the
-    procedure is validated against known models), or from all
-    observations with ``FrechetMleScalings``.
+    Any provider but ``SpectralScalings`` starts from the empty head and
+    reads only ``a``: noise-free with ``ExactScalings`` (how the procedure
+    is validated against known models), or from all observations with
+    ``FrechetMleScalings``.  ``SpectralScalings`` starts with the pairwise
+    screen at its threshold count and appends its band in label order.
 
     Raises:
-        NoInitialNodeError: the initial pass accepted nothing.
+        NoInitialNodeError: the pairwise screen accepted nothing.
     """
-    if isinstance(provider, SpectralScalings):
-        first = _pairwise_pass(provider, cfg)
-    else:
-        first = _threshold_pass(provider, cfg)
-    return _discover(provider, first, cfg, "argmax")
+    first = _pairwise_pass(provider, cfg) if isinstance(provider, SpectralScalings) else None
+    return _discover(provider, cfg, "argmax", first)

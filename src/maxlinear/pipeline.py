@@ -13,13 +13,13 @@ maximum-likelihood estimator (``FrechetMleScalings``):
 * the reordering study (``run_study``) scores the threshold-based
   generation passes with it on data simulated with known margins;
 * ``run_learn`` on data applies it after an empirical-rank transform to
-  standard margins, orders nodes with the threshold initial pass plus
-  the argmax discovery loop, and reads the scaling vector off the
-  recorded passes (``scaling_vector_from_provider``).
+  standard margins, orders nodes by the largest delta of every pass,
+  which reads only the factor ``a``, and reads the scaling vector off
+  the recorded passes (``scaling_vector_from_provider``).
   ``scalings="spectral"`` selects the paper's angular (radial-threshold)
-  estimators instead: the pairwise initial-node screen, argmax steps at
-  threshold count ``k``, and one shared polar decomposition for the
-  scaling vector.
+  estimators instead: the pairwise initial-node screen in ``eps1``/
+  ``eps2``, argmax steps at threshold count ``k``, and one shared polar
+  decomposition for the scaling vector.
 """
 
 from __future__ import annotations
@@ -186,8 +186,12 @@ LEARN_SCALINGS = ("mle", "spectral")
 LEARN_TRANSFORMS = {  # the margin ops of each value
     "frechet": ("frechet",), "negate-frechet": ("negate", "frechet"), "none": ()
 }
-# the options that each learn mode never reads
-LEARN_UNREAD_OPTIONS = {"model": ("k", "scalings", "transform"), "data": ("eps3",)}
+# the options that each learn run never reads: model=, or data= by its scalings
+LEARN_UNREAD_OPTIONS = {
+    "model": ("k", "scalings", "transform"),
+    "mle": ("k", "eps1", "eps2", "eps3"),
+    "spectral": ("eps3",),
+}
 
 
 @dataclass(frozen=True)
@@ -231,8 +235,8 @@ def scaling_vector_from_provider(
     Entry (i, j) is the max-domain scaling of the subset {i} ∪ {j+1, …, d}
     of positions: the group scaling of position i in the pass whose
     ordered head is positions j+1..d, read off ``result.passes``.  A head
-    that no pass formed (after an initial pass that accepted several
-    nodes, or between generations) costs one ``pass_scalings`` call.
+    that no pass formed (inside a band that accepted several nodes, as
+    between generations) costs one ``pass_scalings`` call.
     """
     d = result.node_count
     recorded = {p.ordered_before: p.scalings for p in result.passes}
@@ -311,17 +315,17 @@ def _order_payload(result: LearnResult, mode: str) -> dict:
 def run_learn(cfg: LearnConfig) -> dict:
     if (cfg.data is None) == (cfg.model is None):
         raise ValidationError("exactly one of data= or model= must be given")
-    source, other = ("model", "data") if cfg.model is not None else ("data", "model")
+    run = "model" if cfg.model is not None else cfg.scalings
     given = [
         f.name
         for f in fields(cfg)
-        if f.name in LEARN_UNREAD_OPTIONS[source] and getattr(cfg, f.name) != f.default
+        if f.name in LEARN_UNREAD_OPTIONS[run] and getattr(cfg, f.name) != f.default
     ]
     if given:
-        raise ValidationError(
-            f"option(s) {', '.join(given)} apply only to {other}=, not to {source}="
-        )
+        what = "model=" if run == "model" else f"data= with scalings={run}"
+        raise ValidationError(f"option(s) {', '.join(given)} are not read on {what}")
 
+    k_used = n = None
     if cfg.model is not None:
         mode = "exact-scalings"
         coef = standardize(as_coefficient_matrix(fileio.read_matrix_auto(cfg.model)))
@@ -331,20 +335,19 @@ def run_learn(cfg: LearnConfig) -> dict:
         exact = ExactScalings(coef)
         result = learn_generations(exact, rcfg)
         s = scaling_vector_from_provider(exact, result)
-        k_used = None
-        n = None
     else:
         mode = "estimated"
         x, columns = fileio.read_sample_csv(cfg.data)
         n, d = x.shape
-        k_used = cfg.k if cfg.k is not None else default_threshold_count(n)
-        if not 1 <= k_used <= n:
-            raise ValidationError(
-                f"threshold count k={k_used} must lie in 1..n for sample size n={n}"
-            )
+        if cfg.scalings == "spectral":
+            k_used = cfg.k if cfg.k is not None else default_threshold_count(n)
+            if not 1 <= k_used <= n:
+                raise ValidationError(
+                    f"threshold count k={k_used} must lie in 1..n for sample size n={n}"
+                )
         xt = _apply_ops(x, LEARN_TRANSFORMS[cfg.transform])
         rcfg = _reorder_config(cfg, ReorderConfig.data_preset())
-        if cfg.scalings == "mle":
+        if k_used is None:
             mle = FrechetMleScalings(xt)
             result = learn_order(mle, rcfg)
             s = scaling_vector_from_provider(mle, result)

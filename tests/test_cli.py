@@ -46,13 +46,11 @@ def test_simulate_writes_expected_artifacts(sim_dir):
 
 def test_learn_from_data_happy_path(tmp_path, sim_dir):
     out = tmp_path / "learn"
-    rc = main(
-        ["learn", "--out", str(out), "--data", str(sim_dir / "sample.csv"), "--k", "100"]
-    )
+    rc = main(["learn", "--out", str(out), "--data", str(sim_dir / "sample.csv")])
     assert rc == 0
     report = json.loads((out / "report.json").read_text())
     assert report["order"]["valid"] is True
-    assert report["k"] == 100
+    assert report["k"] is None
     assert report["order"]["discovery"][0] == 10
     assert (out / "coefficients.csv").exists()
     assert (out / "model.dot").exists()
@@ -117,21 +115,23 @@ def test_learn_from_model_dot_holds_the_ancestor_pairs(tmp_path, sim_dir):
         ("model", ["--scalings", "spectral", "--k", "5"], "k, scalings"),
         ("model", ["--transform", "none"], "transform"),
         ("data", ["--eps3", "0.2"], "eps3"),
+        ("data", ["--eps1", "0.01"], "eps1"),
+        ("data", ["--eps2", "0.01"], "eps2"),
+        ("data", ["--k", "5"], "k"),
     ],
-    ids=["k", "spectral-k", "transform", "data-eps3"],
+    ids=["k", "spectral-k", "transform", "data-eps3", "mle-eps1", "mle-eps2", "mle-k"],
 )
 def test_learn_from_model_rejects_data_only_options(tmp_path, mode, option, named, capsys):
-    # each learn mode refuses the options it never reads
+    # each learn run refuses the options it never reads; the default data
+    # run is the MLE one, which reads neither the tolerances nor k
     sources = {"model": tmp_path / "model.csv", "data": tmp_path / "sample.csv"}
     np.savetxt(sources["model"], ten_node_model(), delimiter=",")
     write_sample_csv(simulate(ten_node_model(), 0, 200), sources["data"])
-    other = "data" if mode == "model" else "model"
+    run = "model=" if mode == "model" else "data= with scalings=mle"
     out = tmp_path / "learn"
     argv = ["learn", "--out", str(out), f"--{mode}", str(sources[mode])]
     assert main([*argv, *option]) == 2
-    assert capsys.readouterr().err == (
-        f"error: option(s) {named} apply only to {other}=, not to {mode}=\n"
-    )
+    assert capsys.readouterr().err == f"error: option(s) {named} are not read on {run}\n"
     assert not out.exists()
     if mode == "model":
         # the data-mode defaults, given explicitly, are the plain model run
@@ -391,8 +391,27 @@ def test_learn_k_outside_one_to_n_is_validation_error(
     argv = ["learn", "--out", str(out), "--data", str(small_sample_csv)]
     rc = main([*argv, "--scalings", scalings, "--k", k])
     assert rc == 2
-    assert "threshold count" in capsys.readouterr().err
+    refusal = "threshold count" if scalings == "spectral" else "option(s) k are not read"
+    assert refusal in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_mle_learn_refuses_tolerances_from_a_config_file(tmp_path, small_sample_csv, capsys):
+    # the preset's own values, from a file: the MLE run reads only a
+    config = tmp_path / "tolerances.json"
+    config.write_text(json.dumps({"eps1": 0.0045, "eps2": 0.0045}))
+    out = tmp_path / "learn"
+    argv = ["learn", "--out", str(out), "--config", str(config)]
+    assert main([*argv, "--data", str(small_sample_csv)]) == 2
+    assert capsys.readouterr().err == (
+        "error: option(s) eps1, eps2 are not read on data= with scalings=mle\n"
+    )
+    assert not out.exists()
+    # the pairwise screen and model mode read them
+    assert main([*argv, "--data", str(small_sample_csv), "--scalings", "spectral"]) == 0
+    model = tmp_path / "model.csv"
+    np.savetxt(model, ten_node_model(), delimiter=",")
+    assert main([*argv, "--model", str(model)]) == 0
 
 
 def test_extremes_model_must_be_finite_and_non_negative(tmp_path, small_sample_csv):
@@ -571,8 +590,6 @@ def test_all_zero_data_without_transform_is_threshold_error(tmp_path):
             str(tmp_path / "x"),
             "--data",
             str(data),
-            "--k",
-            "10",
             "--transform",
             "none",
         ]
@@ -937,6 +954,8 @@ def test_zero_tolerances_find_no_initial_node(tmp_path, sim_dir):
             str(tmp_path / "x"),
             "--data",
             str(sim_dir / "sample.csv"),
+            "--scalings",
+            "spectral",
             "--k",
             "100",
             "--eps1",
@@ -1090,8 +1109,6 @@ def test_learn_reports_are_byte_reproducible(tmp_path, sim_dir):
                 str(out),
                 "--data",
                 str(sim_dir / "sample.csv"),
-                "--k",
-                "100",
             ]
         )
         assert rc == 0

@@ -52,6 +52,29 @@ def test_rejects_nonpositive_node_count():
         DagStructure(0, [])
 
 
+@pytest.mark.parametrize(
+    "node_count, edges, named",
+    [
+        (3.7, [(2, 1)], "3.7"),
+        (3, [(2.5, 1)], "2.5"),
+        (3, [(True, 3)], "True"),
+        (3, [(3, "1")], "'1'"),
+        ("3", [], "'3'"),
+        (3.0, [], "3.0"),
+    ],
+    ids=["float-count", "float-label", "bool", "string-label", "string-count", "whole-float"],
+)
+def test_rejects_labels_that_are_not_integers(node_count, edges, named):
+    with pytest.raises(ValidationError, match=f"label {named} is not an integer"):
+        DagStructure(node_count, edges)
+
+
+def test_numpy_integer_labels_are_integers():
+    dag = DagStructure(np.int64(3), [(np.int32(3), np.uint8(1))])
+    assert dag.node_count == 3 and dag.edges == frozenset({(3, 1)})
+    assert all(type(v) is int for e in dag.edges for v in e)
+
+
 def test_duplicate_edges_collapse():
     dag = DagStructure(2, [(2, 1), (2, 1)])
     assert dag.edges == frozenset({(2, 1)})

@@ -499,7 +499,7 @@ def test_learn_order_ten_node_mle_provider_frozen_seed(preset_model, monkeypatch
     for v in range(1, 11):
         for anc in dag.ancestors(v):
             assert pos[anc] < pos[v]
-    # threshold initial pass on the provider, then one argmax per node
+    # the largest delta from the first pass on: node 10, then one argmax per node
     assert res.passes[0].kind == "initial"
     assert res.passes[0].accepted == (10,)
     assert [p.kind for p in res.passes[1:]] == ["argmax"] * 9

@@ -13,9 +13,12 @@ decision margins:
   node still unordered, the node must remain clearly ineligible.
 
 Stage 2 replays the end-to-end statistical criterion on a shortlist:
-simulate n=10^4 from the candidate model, learn with the spectral data
-path (what ``learn --data --scalings spectral`` runs), and count seeds with a topologically consistent order and small max
-coefficient error.
+simulate n=10^4 from the candidate model, learn with the angular order
+of ``SpectralScalings`` (the pairwise screen, then argmax passes) and
+the shared polar recovery, and count seeds with a topologically
+consistent order and small max coefficient error.  The preset was
+chosen this way; no command runs the screen any more, since ``learn
+--scalings spectral`` takes the default maximum-likelihood order.
 
 Run:  python3 scripts/select_preset_weights.py [n_seeds] [shortlist]
 """

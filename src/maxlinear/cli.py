@@ -65,13 +65,13 @@ HELP = {
     "workers": "accepted and checked (>= 1) but unused: study runs on one thread",
     "data": "sample CSV (learn: estimated mode)",
     "model": "coefficient matrix file (learn: exact-scalings mode; extremes: simulated source)",
-    "k": "radial threshold count, --scalings spectral only; None means ceil(sqrt(n))",
+    "k": "polar-decomposition threshold count, --scalings spectral only; None means ceil(sqrt(n))",
     "a": "scaling factor a > 1; None keeps the ordering preset",
-    "eps1": "initial-band upper tolerance, refused by learn --scalings mle; None keeps the preset",
-    "eps2": "initial-band lower tolerance, refused by learn --scalings mle; None keeps the preset",
+    "eps1": "initial-band upper tolerance (learn --model, study); None keeps the preset",
+    "eps2": "initial-band lower tolerance (learn --model, study); None keeps the preset",
     "eps3": "generation-pass tolerance; None keeps the ordering preset",
     "transform": "margin transform before estimation: frechet, negate-frechet or none",
-    "scalings": "data-mode estimator: mle (Fréchet likelihood) or spectral (angular, at k)",
+    "scalings": "data-mode recovery on one order: mle (Fréchet MLE) or spectral (polar, at k)",
     "prune": "zero estimated off-diagonal coefficients below this value",
     "diagnostics": "report degenerate recovery-variance directions",
     "sizes": "sample sizes, comma-separated",

@@ -262,18 +262,20 @@ def empirical_frechet_transform(x: np.ndarray) -> np.ndarray:
     binary search of each value into the sorted column returns, and the
     table entry is the same IEEE expression on the same integer, so the
     output is bit-identical to evaluating the formula entry by entry.
+    It is the (n, d) transposed view of one (d, n) buffer, as ``simulate``
+    returns, so ``FrechetMleScalings`` takes its columns without a copy.
 
     Raises:
         ThresholdError: a column is constant, so it carries no tail
             information (all of it would map to that maximum value).
     """
     a = _as_sample(x)
-    n = a.shape[0]
+    n, d = a.shape
     table = (-np.log(np.arange(1, n + 1) / (n + 1.0))) ** -0.5
-    out = np.empty_like(a)
+    out = np.empty((d, n))
     run_end = np.empty(n, dtype=bool)
     run_end[-1] = True
-    for c in range(a.shape[1]):
+    for c in range(d):
         col = a[:, c]
         order = np.argsort(col)
         s = col[order]
@@ -283,5 +285,5 @@ def empirical_frechet_transform(x: np.ndarray) -> np.ndarray:
             )
         np.not_equal(s[1:], s[:-1], out=run_end[:-1])
         ends = np.flatnonzero(run_end)
-        out[order, c] = np.repeat(table[ends], np.diff(ends, prepend=-1))
-    return out
+        out[c, order] = np.repeat(table[ends], np.diff(ends, prepend=-1))
+    return out.T

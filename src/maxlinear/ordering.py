@@ -21,9 +21,9 @@ to the smaller label.  Two runs start from a band instead:
   eps3, whole generations at a time;
 * ``learn_order`` on ``SpectralScalings`` starts with the pairwise
   screen, the data-frugal variant on a sample, which tests each node
-  against every single partner instead of all nodes at once.  It
-  appends its band in label order until a tail-based first step
-  replaces it.
+  against every single partner instead of all nodes at once, and
+  appends its band in label order.  No command runs it: ``learn
+  --scalings spectral`` orders with ``FrechetMleScalings`` as well.
 
 Scalings are supplied by a provider object so the loop runs
 identically on exact model scalings (``ExactScalings``) and on data
@@ -160,8 +160,8 @@ class ExactScalings:
 
 def _varying_columns(x: np.ndarray) -> np.ndarray:
     """A finite sample as a contiguous (d, n) array of its columns, none
-    of which is constant; the transposed view ``simulate`` returns is
-    taken as it is, without a copy."""
+    of which is constant; the transposed view that ``simulate`` and
+    ``empirical_frechet_transform`` return is taken without a copy."""
     cols = np.ascontiguousarray(_as_sample(x).T)
     top = cols.max(axis=1)
     const = np.flatnonzero(top == cols.min(axis=1))
@@ -268,7 +268,7 @@ class FrechetMleScalings:
     """Parametric scaling estimates: componentwise maxima are treated as
     Frechet(2) and their squared scale fitted by maximum likelihood.
 
-    Used by the simulation-study harness and by default in ``learn`` on
+    Used by the simulation-study harness and by every ``learn`` on
     data; unlike the angular estimates these use every observation, not
     only the radial exceedances.  The sample must be finite.  It is held
     column by column, and with it the inverse squares the fits average

@@ -16,10 +16,9 @@ maximum-likelihood estimator (``FrechetMleScalings``):
   standard margins, orders nodes by the largest delta of every pass,
   which reads only the factor ``a``, and reads the scaling vector off
   the recorded passes (``scaling_vector_from_provider``).
-  ``scalings="spectral"`` selects the paper's angular (radial-threshold)
-  estimators instead: the pairwise initial-node screen in ``eps1``/
-  ``eps2``, argmax steps at threshold count ``k``, and one shared polar
-  decomposition for the scaling vector.
+  ``scalings="spectral"`` names a recovery only: the same order, then
+  the paper's scaling vector from one shared polar decomposition at
+  threshold count ``k`` (``shared_polar_scaling_vector``).
 """
 
 from __future__ import annotations
@@ -68,7 +67,6 @@ from .ordering import (
     LearnResult,
     ReorderConfig,
     ScalingProvider,
-    SpectralScalings,
     learn_generations,
     learn_order,
 )
@@ -190,7 +188,7 @@ LEARN_TRANSFORMS = {  # the margin ops of each value
 LEARN_UNREAD_OPTIONS = {
     "model": ("k", "scalings", "transform"),
     "mle": ("k", "eps1", "eps2", "eps3"),
-    "spectral": ("eps3",),
+    "spectral": ("eps1", "eps2", "eps3"),
 }
 
 
@@ -346,14 +344,13 @@ def run_learn(cfg: LearnConfig) -> dict:
                     f"threshold count k={k_used} must lie in 1..n for sample size n={n}"
                 )
         xt = _apply_ops(x, LEARN_TRANSFORMS[cfg.transform])
-        rcfg = _reorder_config(cfg, ReorderConfig.data_preset())
+        del x  # only the transformed columns are kept; the provider shares them
+        mle = FrechetMleScalings(xt)
+        result = learn_order(mle, _reorder_config(cfg, ReorderConfig.data_preset()))
         if k_used is None:
-            mle = FrechetMleScalings(xt)
-            result = learn_order(mle, rcfg)
             s = scaling_vector_from_provider(mle, result)
         else:
-            # the provider and its squared columns are freed before the polar step
-            result = learn_order(SpectralScalings(xt, k_used), rcfg)
+            del mle  # its tables are freed before the polar step's copy
             s = shared_polar_scaling_vector(xt, result.column_order(), k_used)
 
     a2 = squared_coefficients(s, d)

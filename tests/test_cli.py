@@ -16,7 +16,16 @@ import numpy as np
 import pytest
 
 import maxlinear
-from maxlinear import simulate, ten_node_dag, ten_node_model
+from maxlinear import (
+    FrechetMleScalings,
+    NoInitialNodeError,
+    ReorderConfig,
+    empirical_frechet_transform,
+    learn_generations,
+    simulate,
+    ten_node_dag,
+    ten_node_model,
+)
 from maxlinear.cli import COMMANDS, build_parser, main
 from maxlinear.fileio import read_sample_csv, write_sample_csv
 from maxlinear.pipeline import LearnConfig, SimulateConfig, run_learn, run_simulate
@@ -79,9 +88,23 @@ def test_learn_scalings_choice_is_recorded(tmp_path, sim_dir):
     out = tmp_path / "default"
     assert main(["learn", "--out", str(out), "--data", str(sim_dir / "sample.csv")]) == 0
     assert (out / "report.json").read_bytes() == (tmp_path / "mle" / "report.json").read_bytes()
-    # each estimator keeps its own initial pass
+    # both recoveries read one order, the default one
     assert reports["mle"]["order"]["passes"][0]["kind"] == "initial"
-    assert reports["spectral"]["order"]["passes"][0]["kind"] == "initial-pairwise"
+    assert reports["spectral"]["order"] == reports["mle"]["order"]
+
+
+def test_spectral_learn_orders_the_sample_the_screen_refused(tmp_path):
+    # the pairwise screen accepted no node of this sample and exited 3; the
+    # spectral recovery now reads the default order, which is consistent
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--out", str(sim), "--n", "10000", "--seed", "10"]) == 0
+    out = tmp_path / "spectral"
+    argv = ["learn", "--out", str(out), "--data", str(sim / "sample.csv")]
+    assert main([*argv, "--scalings", "spectral"]) == 0
+    discovery = json.loads((out / "report.json").read_text())["order"]["discovery"]
+    pos = {m: i for i, m in enumerate(discovery)}
+    dag = ten_node_dag()
+    assert all(pos[a] < pos[v] for v in range(1, 11) for a in dag.ancestors(v))
 
 
 def test_learn_from_model_writes_only_true_edges(tmp_path, sim_dir):
@@ -118,16 +141,20 @@ def test_learn_from_model_dot_holds_the_ancestor_pairs(tmp_path, sim_dir):
         ("data", ["--eps1", "0.01"], "eps1"),
         ("data", ["--eps2", "0.01"], "eps2"),
         ("data", ["--k", "5"], "k"),
+        ("data", ["--scalings", "spectral", "--eps1", "0", "--eps2", "0"], "eps1, eps2"),
     ],
-    ids=["k", "spectral-k", "transform", "data-eps3", "mle-eps1", "mle-eps2", "mle-k"],
+    ids=["k", "spectral-k", "transform", "data-eps3", "mle-eps1", "mle-eps2", "mle-k",
+         "spectral-eps"],
 )
 def test_learn_from_model_rejects_data_only_options(tmp_path, mode, option, named, capsys):
-    # each learn run refuses the options it never reads; the default data
-    # run is the MLE one, which reads neither the tolerances nor k
+    # each learn run refuses the options it never reads; both data runs
+    # take the MLE order, which reads neither tolerance, and only the
+    # spectral recovery reads k
     sources = {"model": tmp_path / "model.csv", "data": tmp_path / "sample.csv"}
     np.savetxt(sources["model"], ten_node_model(), delimiter=",")
     write_sample_csv(simulate(ten_node_model(), 0, 200), sources["data"])
-    run = "model=" if mode == "model" else "data= with scalings=mle"
+    scalings = "spectral" if "spectral" in option else "mle"
+    run = "model=" if mode == "model" else f"data= with scalings={scalings}"
     out = tmp_path / "learn"
     argv = ["learn", "--out", str(out), f"--{mode}", str(sources[mode])]
     assert main([*argv, *option]) == 2
@@ -407,8 +434,13 @@ def test_mle_learn_refuses_tolerances_from_a_config_file(tmp_path, small_sample_
         "error: option(s) eps1, eps2 are not read on data= with scalings=mle\n"
     )
     assert not out.exists()
-    # the pairwise screen and model mode read them
-    assert main([*argv, "--data", str(small_sample_csv), "--scalings", "spectral"]) == 0
+    # the spectral recovery reads the same order, so it refuses them too
+    assert main([*argv, "--data", str(small_sample_csv), "--scalings", "spectral"]) == 2
+    assert capsys.readouterr().err == (
+        "error: option(s) eps1, eps2 are not read on data= with scalings=spectral\n"
+    )
+    assert not out.exists()
+    # model mode reads them
     model = tmp_path / "model.csv"
     np.savetxt(model, ten_node_model(), delimiter=",")
     assert main([*argv, "--model", str(model)]) == 0
@@ -849,7 +881,7 @@ OUT_OF_RANGE_CASES = [
         ["learn", "--data", "{huge_row_sample}", "--transform", "none",
          "--scalings", "spectral", "--k", "1"],
         3,
-        "squared radii on columns (2, 1) with column 1 inflated overflow",
+        "squared radii on columns (1, 2, 3) overflow",
         id="learn-spectral-overflow",
     ),
     pytest.param(
@@ -946,25 +978,14 @@ def test_options_that_break_the_formulas_exit_2(tmp_path, option, scalings, caps
     assert err.startswith("error: ")
 
 
-def test_zero_tolerances_find_no_initial_node(tmp_path, sim_dir):
-    rc = main(
-        [
-            "learn",
-            "--out",
-            str(tmp_path / "x"),
-            "--data",
-            str(sim_dir / "sample.csv"),
-            "--scalings",
-            "spectral",
-            "--k",
-            "100",
-            "--eps1",
-            "0",
-            "--eps2",
-            "0",
-        ]
-    )
-    assert rc == 3
+def test_zero_tolerances_find_no_initial_node():
+    # no learn --data run reads the tolerances (see the spectral-eps case
+    # above); the threshold pass of learn_generations still does, and on a
+    # sample no delta is exactly zero
+    x = empirical_frechet_transform(simulate(ten_node_model(), 0, 10_000))
+    cfg = ReorderConfig(a=1.01, eps1=0.0, eps2=0.0)
+    with pytest.raises(NoInitialNodeError, match="no node passed the initial test"):
+        learn_generations(FrechetMleScalings(x), cfg)
 
 
 def test_empty_generation_pass_exits_3(tmp_path, capsys):

@@ -377,6 +377,18 @@ def test_rank_transform_equals_searchsorted_reference(kind, seed, n, d):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("kind", ["draw", "rounded"])
+def test_rank_transform_fills_one_column_buffer_the_provider_shares(kind):
+    # the transposed view of one C-contiguous (d, n) array, as simulate
+    # returns, so the MLE provider holds no second copy of the sample
+    x = _rank_sample(kind, 3, 500, 4)
+    got = empirical_frechet_transform(x)
+    assert got.shape == (500, 4)
+    assert got.T.flags.c_contiguous and got.base is not None and got.base.shape == (4, 500)
+    assert np.shares_memory(FrechetMleScalings(got)._cols, got)
+    assert got.tobytes() == searchsorted_frechet_transform(x).tobytes()
+
+
 def test_rank_transform_monotone_and_tie_stable():
     col = np.array([3.0, 1.0, 3.0, 2.0]).reshape(-1, 1)
     out = empirical_frechet_transform(col)[:, 0]

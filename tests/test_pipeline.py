@@ -17,6 +17,7 @@ from maxlinear import (
     MaxLinearError,
     ReorderConfig,
     ValidationError,
+    coefficients_from_squares,
     empirical_frechet_transform,
     estimate_max_scaling,
     index_pairs,
@@ -29,6 +30,7 @@ from maxlinear import (
     random_well_ordered_dag,
     scaling_vector,
     simulate,
+    squared_coefficients,
     standardize,
     subset_at,
     ten_node_model,
@@ -229,6 +231,23 @@ def test_default_learn_does_not_depend_on_the_column_order(tmp_path):
             cfg = LearnConfig(out=str(tmp_path / name), data=str(tmp_path / f"{name}.csv"))
             frames.append(np.asarray(run_learn(cfg)["coefficients_original_frame"]))
         assert np.array_equal(frames[1], frames[0][np.ix_(p, p)]), m
+
+
+def test_spectral_learn_reads_the_default_order(tmp_path):
+    # --scalings names a recovery only: both runs write one order, and the
+    # spectral run recovers from the shared polar decomposition on it
+    x = simulate(random_standardized_model(8, np.random.default_rng(31)), 31, 5000)
+    write_sample_csv(x, tmp_path / "sample.csv")
+    reports = {
+        s: run_learn(LearnConfig(out=str(tmp_path / s), data=str(tmp_path / "sample.csv"), scalings=s))
+        for s in ("mle", "spectral")
+    }
+    assert reports["spectral"]["order"] == reports["mle"]["order"]
+    assert reports["spectral"]["k"] == 71 and reports["mle"]["k"] is None
+    xt = empirical_frechet_transform(read_sample_csv(tmp_path / "sample.csv")[0])
+    s = shared_polar_scaling_vector(xt, reports["mle"]["order"]["column_order"], 71)
+    want = coefficients_from_squares(squared_coefficients(s, 8), 8).matrix
+    assert np.array_equal(reports["spectral"]["coefficients_learned_frame"], want)
 
 
 def test_order_payload_fields(preset_model):

@@ -6,19 +6,20 @@ decision margins:
 * exact-scalings threshold ordering (a=sqrt(2), eps=(0.1, 0.05, 0.1)):
   eligible nodes sit at delta exactly 0; every ineligible node must
   miss the acceptance band by a wide margin at every pass;
-* pairwise initial-node pass at the data preset (a=1.01, eps=0.0045):
-  every non-initial node needs at least one partner with a large
-  rejection deficit (reported as a fraction of a^2 - 1);
+* pairwise margin at the data preset (a=1.01): every non-initial node
+  needs at least one partner that, inflated alone against it, shows a
+  large rejection deficit (reported as a fraction of a^2 - 1);
 * argmax worst frontier at the data preset: with only one ancestor of a
   node still unordered, the node must remain clearly ineligible.
 
 Stage 2 replays the end-to-end statistical criterion on a shortlist:
-simulate n=10^4 from the candidate model, learn with the angular order
-of ``SpectralScalings`` (the pairwise screen, then argmax passes) and
-the shared polar recovery, and count seeds with a topologically
-consistent order and small max coefficient error.  The preset was
-chosen this way; no command runs the screen any more, since ``learn
---scalings spectral`` takes the default maximum-likelihood order.
+simulate n=10^4 from the candidate model and learn as ``learn
+--scalings spectral`` does, with the maximum-likelihood order of
+``FrechetMleScalings`` and the shared polar recovery, then count seeds
+with a topologically consistent order and small max coefficient error.
+The frozen preset was chosen when stage 2 ordered with a pairwise
+screen on angular estimates, which the package no longer has; stage 1
+and its pairwise margin are unchanged.
 
 Run:  python3 scripts/select_preset_weights.py [n_seeds] [shortlist]
 """
@@ -32,9 +33,9 @@ import numpy as np
 from maxlinear import (
     EmptyGenerationError,
     ExactScalings,
+    FrechetMleScalings,
     NoInitialNodeError,
     ReorderConfig,
-    SpectralScalings,
     coefficients_from_squares,
     learn_generations,
     learn_order,
@@ -154,10 +155,7 @@ def end_to_end_success(
     errs = []
     for seed in range(seeds):
         x = empirical_frechet_transform(simulate(coef, seed, n))
-        try:
-            result = learn_order(SpectralScalings(x, k), DATA)
-        except Exception:
-            continue
+        result = learn_order(FrechetMleScalings(x), DATA)
         disc = result.discovery
         topo = all(
             disc.index(j) < disc.index(m) for m in disc for j in dag.ancestors(m)

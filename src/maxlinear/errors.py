@@ -33,8 +33,8 @@ class ThresholdError(MaxLinearError):
 
 
 class NoInitialNodeError(MaxLinearError):
-    """The initial band of ``learn_generations`` or the pairwise screen
-    accepted no candidate; eps1/eps2 may be too tight for the data."""
+    """The initial band of ``learn_generations`` accepted no candidate;
+    eps1/eps2 may be too tight for the data."""
     exit_code = 3
 
 

@@ -54,7 +54,7 @@ def default_threshold_count(n: int) -> int:
 
 def _check_threshold_count(k: int) -> int:
     """The exceedance count k as an int: an integer of at least 1."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
         raise ValidationError(f"threshold count k must be an integer >= 1, got {k!r}")
     return int(k)
 

@@ -10,20 +10,16 @@ inflated group, otherwise by strictly less.  The gap, written
 deltas of the unordered nodes given the ordered head and extends the
 head.  The pass with the empty head keeps the kind ``"initial"``.
 
-``learn_order`` takes the single largest delta in every pass, from the
-empty head on: eligible nodes sit at the top, so the rule is
-noise-robust and reads no tolerance, and only an exact tie falls back
-to the smaller label.  Two runs start from a band instead:
+Both entry points run this loop from the empty head on every provider
+and differ only in the rule that extends the head:
 
-* ``learn_generations`` starts with the threshold pass, which accepts
-  the nodes whose delta lies in [-eps2, eps1] (parentless nodes have
-  delta exactly zero), and then accepts every node with |delta| within
-  eps3, whole generations at a time;
-* ``learn_order`` on ``SpectralScalings`` starts with the pairwise
-  screen, the data-frugal variant on a sample, which tests each node
-  against every single partner instead of all nodes at once, and
-  appends its band in label order.  No command runs it: ``learn
-  --scalings spectral`` orders with ``FrechetMleScalings`` as well.
+* ``learn_order`` takes the single largest delta in every pass:
+  eligible nodes sit at the top, so the rule is noise-robust and reads
+  no tolerance, and only an exact tie falls back to the smaller label;
+* ``learn_generations`` accepts, in the initial pass, the nodes whose
+  delta lies in [-eps2, eps1] (parentless nodes have delta exactly
+  zero), and then every node with |delta| within eps3, whole
+  generations at a time.
 
 Scalings are supplied by a provider object so the loop runs
 identically on exact model scalings (``ExactScalings``) and on data
@@ -82,9 +78,9 @@ class ReorderConfig:
     the provider's, not a field here.
 
     ``a`` is the inflation factor; ``eps1``/``eps2`` bound the initial
-    band of ``learn_generations`` and of the pairwise screen from
-    above/below; ``eps3`` bounds |delta| in the generation passes.  The
-    defaults are the simulation preset; ``data_preset`` returns the
+    band of ``learn_generations`` from above/below; ``eps3`` bounds
+    |delta| in its generation passes.  ``learn_order`` reads ``a`` only.
+    The defaults are the simulation preset; ``data_preset`` returns the
     configuration used for raw heavy-tailed data where a barely-inflating
     factor keeps the deltas comparable across dependent estimates.
     """
@@ -177,12 +173,13 @@ class SpectralScalings:
 
     The sample is validated once and its squares are held column by
     column, with the squares of the inflated columns for each factor a
-    pass has used.  ``pass_scalings`` and ``pair_scalings`` hand views of
-    these columns to ``_kernels.scaling_sum``.  Group estimates are
-    memoized: the pairwise screen reads each plain pair twice and every
-    pass the all-node scaling.  The per-subset methods go through the
-    public estimators ``estimate_max_scaling`` and
-    ``estimate_rescaled_max_scaling``; both paths give the same bits.
+    pass has used.  ``pass_scalings`` hands views of these columns to
+    ``_kernels.scaling_sum``.  Group estimates are memoized: every pass
+    reads the all-node scaling.  No command orders with this provider;
+    ``learn --scalings spectral`` orders with ``FrechetMleScalings``
+    and reads angular estimates in its recovery only.  The per-subset
+    methods go through the public estimators ``estimate_max_scaling``
+    and ``estimate_rescaled_max_scaling``; both paths give the same bits.
 
     Raises:
         ValidationError: k is not an integer of at least 1, or the
@@ -252,16 +249,6 @@ class SpectralScalings:
             rescaled = _rescaled_scaling_of_squares(sq, len(grown), factor, self._k, where)
             out[m] = (group, rescaled)
         return out
-
-    @_quiet
-    def pair_scalings(self, i: int, m: int, factor: float) -> tuple[float, float]:
-        """Scalings of ``max(X_i, X_m)`` and of ``max(X_i, factor X_m)``,
-        each estimated on the two columns alone."""
-        factor = float(factor)
-        sq = [self._sq[i - 1], self._inflated(factor)[m - 1]]
-        where = f"columns ({i}, {m}) with column {m} inflated"
-        inflated = _rescaled_scaling_of_squares(sq, 1, factor, self._k, where)
-        return self._group(frozenset((i, m))), inflated
 
 
 class FrechetMleScalings:
@@ -375,16 +362,14 @@ def _pass_deltas(
 class DeltaPass:
     """Record of one decision pass.
 
-    ``deltas`` maps each candidate to its (min, max) delta; the two
-    coincide except in the pairwise pass, where they summarize the
-    sweep over partners.  ``scalings`` is the provider's answer for the
-    pass, ``pass_scalings(ordered_before, a)``; the pairwise pass leaves
-    it empty.
+    ``deltas`` maps each candidate to its delta and ``scalings`` holds
+    the provider's answer they come from, ``pass_scalings(ordered_before,
+    a)``.  The pass with the empty head has the kind ``"initial"``.
     """
 
-    kind: str  # "initial" | "initial-pairwise" | "generation" | "argmax"
+    kind: str  # "initial" | "generation" | "argmax"
     ordered_before: tuple[int, ...]
-    deltas: Mapping[int, tuple[float, float]]
+    deltas: Mapping[int, float]
     accepted: tuple[int, ...]
     scalings: Mapping[int, tuple[float, float]]
 
@@ -424,38 +409,9 @@ class LearnResult:
         return tuple(self.label_at_position(p) for p in range(1, self.node_count + 1))
 
 
-def _single(deltas: Mapping[int, float]) -> dict[int, tuple[float, float]]:
-    return {m: (v, v) for m, v in deltas.items()}
-
-
-def _in_band(bounds: Mapping[int, tuple[float, float]], cfg: ReorderConfig) -> tuple:
-    """The nodes whose delta range (lo, hi) lies in [-eps2, eps1], in
-    label order, as both bands append them."""
-    inside = (m for m, (lo, hi) in bounds.items() if -cfg.eps2 <= lo and hi <= cfg.eps1)
-    return tuple(sorted(inside))
-
-
-def _pairwise_pass(provider: SpectralScalings, cfg: ReorderConfig) -> DeltaPass:
-    """Initial pass on a sample, screening each node against every partner.
-
-    For each candidate m the delta is computed on the two columns (i, m)
-    alone; m passes when the largest delta stays below eps1 and the
-    smallest above -eps2.  The self-pair's delta is exactly zero by
-    construction.  The plain scaling of a pair {i, m} does not depend on
-    the column order, so it comes from the provider's cache; the inflated
-    one does (only m is inflated) and is estimated for each ordered pair.
-    """
-    offset = cfg.a**2 - 1.0
-    bounds: dict[int, tuple[float, float]] = {}
-    for m in _all_nodes(provider.node_count):
-        lo = hi = 0.0
-        for i in _all_nodes(provider.node_count):
-            if i != m:
-                plain, inflated = provider.pair_scalings(i, m, cfg.a)
-                delta = inflated - plain - offset
-                lo, hi = min(lo, delta), max(hi, delta)
-        bounds[m] = (lo, hi)
-    return DeltaPass("initial-pairwise", (), bounds, _in_band(bounds, cfg), {})
+def _in_band(deltas: Mapping[int, float], cfg: ReorderConfig) -> tuple[int, ...]:
+    """The nodes whose delta lies in [-eps2, eps1], in label order."""
+    return tuple(sorted(m for m, v in deltas.items() if -cfg.eps2 <= v <= cfg.eps1))
 
 
 def _argmax_node(deltas: Mapping[int, float]) -> int:
@@ -464,37 +420,35 @@ def _argmax_node(deltas: Mapping[int, float]) -> int:
     return min(m for m, v in deltas.items() if v == best)
 
 
-def _discover(
-    provider: ScalingProvider, cfg: ReorderConfig, step: str, first: DeltaPass | None
-) -> LearnResult:
+def _discover(provider: ScalingProvider, cfg: ReorderConfig, step: str) -> LearnResult:
     """The discovery loop shared by both entry points.
 
-    Starts from the nodes ``first`` accepted, or else from the empty head
-    with an ``"initial"`` pass of rule ``step``, and extends the ordered
-    head one pass at a time: ``"generation"`` accepts all nodes with
-    |delta| <= eps3, ``"argmax"`` the single largest delta.  A run either
+    Extends the ordered head one pass at a time from the empty head.
+    Rule ``"argmax"`` accepts the single largest delta of every pass;
+    rule ``"generation"`` accepts the [-eps2, eps1] band in the initial
+    pass and all nodes with |delta| <= eps3 after it.  A run either
     orders every node or raises at the first empty pass.
     """
-    passes = [] if first is None else [first]
-    discovery = [m for p in passes for m in p.accepted]
-    if passes and not discovery:
-        test = "pairwise initial" if first.kind == "initial-pairwise" else "initial"
-        raise NoInitialNodeError(
-            f"no node passed the {test} test; consider relaxing eps1/eps2"
-        )
-
+    passes: list[DeltaPass] = []
+    discovery: list[int] = []
     while len(discovery) < provider.node_count:
         deltas, scalings = _pass_deltas(provider, discovery, cfg)
         if step == "argmax":
             accepted = (_argmax_node(deltas),)
+        elif not discovery:
+            accepted = _in_band(deltas, cfg)
+            if not accepted:
+                raise NoInitialNodeError(
+                    "no node passed the initial test; consider relaxing eps1/eps2"
+                )
         else:
             accepted = tuple(sorted(m for m, v in deltas.items() if abs(v) <= cfg.eps3))
-        if not accepted:
-            raise EmptyGenerationError(
-                f"no node passed the generation test with head {tuple(discovery)}"
-            )
+            if not accepted:
+                raise EmptyGenerationError(
+                    f"no node passed the generation test with head {tuple(discovery)}"
+                )
         kind = step if discovery else "initial"
-        passes.append(DeltaPass(kind, tuple(discovery), _single(deltas), accepted, scalings))
+        passes.append(DeltaPass(kind, tuple(discovery), deltas, accepted, scalings))
         discovery.extend(accepted)
 
     kept = tuple(p.accepted for p in passes) if step == "generation" else None
@@ -514,23 +468,16 @@ def learn_generations(provider: ScalingProvider, cfg: ReorderConfig) -> LearnRes
         NoInitialNodeError: the initial band caught nothing.
         EmptyGenerationError: a generation pass caught nothing.
     """
-    deltas, scalings = _pass_deltas(provider, (), cfg)
-    bounds = _single(deltas)
-    first = DeltaPass("initial", (), bounds, _in_band(bounds, cfg), scalings)
-    return _discover(provider, cfg, "generation", first)
+    return _discover(provider, cfg, "generation")
 
 
 def learn_order(provider: ScalingProvider, cfg: ReorderConfig) -> LearnResult:
     """One-node-at-a-time ordering: the largest delta of every pass.
 
-    Any provider but ``SpectralScalings`` starts from the empty head and
-    reads only ``a``: noise-free with ``ExactScalings`` (how the procedure
-    is validated against known models), or from all observations with
-    ``FrechetMleScalings``.  ``SpectralScalings`` starts with the pairwise
-    screen at its threshold count and appends its band in label order.
-
-    Raises:
-        NoInitialNodeError: the pairwise screen accepted nothing.
+    Starts from the empty head on every provider and reads only ``a``:
+    noise-free with ``ExactScalings`` (how the procedure is validated
+    against known models), or from all observations with
+    ``FrechetMleScalings``.  Every pass accepts a node, so no ordering
+    error is raised; a data provider may raise ``ThresholdError``.
     """
-    first = _pairwise_pass(provider, cfg) if isinstance(provider, SpectralScalings) else None
-    return _discover(provider, cfg, "argmax", first)
+    return _discover(provider, cfg, "argmax")

@@ -241,7 +241,7 @@ def scaling_vector_from_provider(
     s = np.empty(vector_length(d))
     for idx, (i, j) in enumerate(index_pairs(d)):
         head = result.discovery[: d - j]
-        if not recorded.get(head):
+        if head not in recorded:
             recorded[head] = provider.pass_scalings(head, result.config.a)
         s[idx] = recorded[head][result.label_at_position(i)][0]
     return s
@@ -300,10 +300,8 @@ def _order_payload(result: LearnResult, mode: str) -> dict:
                 "kind": p.kind,
                 "ordered_before": list(p.ordered_before),
                 "accepted": list(p.accepted),
-                "deltas": {
-                    str(m): {"min": lo, "max": hi}
-                    for m, (lo, hi) in sorted(p.deltas.items())
-                },
+                # one delta per node, in the (min, max) shape perfbench's check_passes reads
+                "deltas": {str(m): {"min": v, "max": v} for m, v in sorted(p.deltas.items())},
             }
             for p in result.passes
         ],

@@ -125,7 +125,7 @@ _SAMPLE = np.random.default_rng(0).pareto(2.0, size=(500, 3)) + 0.1
     ids=["estimate", "rescaled", "polar", "provider"],
 )
 @pytest.mark.parametrize(
-    "k", [0, -3, 2.5, "2"], ids=["zero", "negative", "fraction", "string"]
+    "k", [0, -3, 2.5, "2", True], ids=["zero", "negative", "fraction", "string", "bool"]
 )
 def test_threshold_count_must_be_an_integer_of_at_least_one(call, k):
     with pytest.raises(ValidationError, match=f"threshold count k .* got {k!r}$"):

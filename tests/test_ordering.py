@@ -36,8 +36,6 @@ from maxlinear import (
     ten_node_model,
 )
 from maxlinear import _kernels, estimation, ordering
-from maxlinear.estimation import estimate_rescaled_max_scaling
-from maxlinear.ordering import _pairwise_pass
 from maxlinear.pipeline import scaling_vector_from_provider
 from maxlinear.presets import TEN_NODE_GENERATIONS
 
@@ -248,32 +246,6 @@ def test_spectral_pass_scalings_equal_per_subset_estimates(kind, data, d, n, fac
         got = _outcome(lambda: SpectralScalings(x, k).pass_scalings(head, factor))
         assert got == want
 
-    offset = factor**2 - 1.0
-
-    def public_bounds():
-        SpectralScalings(x, k)  # the same construction checks
-        bounds = {}
-        for m in range(1, d + 1):
-            deltas = [0.0]
-            for i in range(1, d + 1):
-                if i != m:
-                    pair = x[:, [i - 1, m - 1]]
-                    try:
-                        inflated = estimate_rescaled_max_scaling(pair, (), 2, factor, k)
-                    except ThresholdError as exc:
-                        # column 2 of the pair is column m of x
-                        where = f"columns ({i}, {m}) with column {m} inflated"
-                        text = str(exc).replace("all columns with columns (2,) inflated", where)
-                        raise ThresholdError(text) from exc
-                    plain = estimate_max_scaling(x, sorted((i, m)), k)
-                    deltas.append(inflated - plain - offset)
-            bounds[m] = (min(deltas), max(deltas))
-        return bounds
-
-    cfg = ReorderConfig(a=factor)
-    got = _outcome(lambda: _pairwise_pass(SpectralScalings(x, k), cfg).deltas)
-    assert got == _outcome(public_bounds)
-
 
 # ---------------------------------------------------------------------------
 # exact-mode delta criteria (both directions, strictness)
@@ -354,8 +326,7 @@ def test_unrelated_pair_diamond(diamond_model):
     step = res.passes[1]
     assert step.ordered_before == (4,)
     assert step.accepted == (2, 3)
-    lo, hi = step.deltas[1]
-    assert lo == hi and abs(hi) > ReorderConfig.simulation_preset().eps3
+    assert abs(step.deltas[1]) > ReorderConfig.simulation_preset().eps3
 
 
 # ---------------------------------------------------------------------------
@@ -426,17 +397,18 @@ def test_learn_order_exact_precedes_descendants_200_dags():
                 assert pos[anc] < pos[v]
 
 
-def test_pairwise_initial_two_node_data(two_node_model):
-    xt = empirical_frechet_transform(simulate(two_node_model, 1, 10_000))
-    first = learn_order(SpectralScalings(xt, 100), ReorderConfig.data_preset()).passes[0]
-    assert first.kind == "initial-pairwise"
-    assert first.accepted == (2,)
-
-
-def test_pairwise_initial_raises_when_band_empty(two_node_model):
+def test_learn_order_reads_no_tolerance(two_node_model):
+    # zero-width bands on a sample where no initial band holds a node: the
+    # largest delta of every pass reads only a, on every provider
     xt = empirical_frechet_transform(simulate(two_node_model, 0, 2000))
-    with pytest.raises(NoInitialNodeError, match="pairwise initial test"):
-        learn_order(SpectralScalings(xt, 40), ReorderConfig(eps1=0.0, eps2=0.0))
+    preset = ReorderConfig.data_preset()
+    zero = ReorderConfig(a=preset.a, eps1=0.0, eps2=0.0, eps3=0.0)
+    providers = ExactScalings(two_node_model), FrechetMleScalings(xt), SpectralScalings(xt, 40)
+    for prov in providers:
+        want = learn_order(prov, preset)
+        got = learn_order(prov, zero)
+        assert got.discovery == want.discovery == (2, 1)
+        assert got.passes == want.passes
 
 
 def test_learn_order_ten_node_data_frozen_seed(preset_model):
@@ -449,12 +421,8 @@ def test_learn_order_ten_node_data_frozen_seed(preset_model):
     for v in range(1, 11):
         for anc in dag.ancestors(v):
             assert pos[anc] < pos[v]
-    # the recorded passes cover the initial screen plus one argmax per node
-    assert res.passes[0].kind == "initial-pairwise"
-    assert [p.kind for p in res.passes[1:]] == ["argmax"] * 9
-    # self-pair bound is always part of the recorded interval
-    for m, (lo, hi) in res.passes[0].deltas.items():
-        assert lo <= 0.0 <= hi
+    # one pass per node, each taking the largest delta
+    assert [p.kind for p in res.passes] == ["initial"] + ["argmax"] * 9
 
 
 def test_learn_order_ten_node_data_uses_cached_columns(preset_model, monkeypatch):
@@ -473,8 +441,8 @@ def test_learn_order_ten_node_data_uses_cached_columns(preset_model, monkeypatch
     for module in (ordering, estimation):
         monkeypatch.setattr(module, "_as_sample", counted(module._as_sample, "validate"))
     learn_order(SpectralScalings(xt, 100), ReorderConfig.data_preset())
-    # every estimate of the screen and the argmax passes reads the
-    # provider's squared columns, validated once at construction
+    # every estimate of the passes reads the provider's squared columns,
+    # validated once at construction
     assert calls == {"estimate": 0, "validate": 1}
 
 

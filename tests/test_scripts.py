@@ -34,7 +34,7 @@ def test_select_preset_weights_scores_the_preset():
     margins = script.exact_margins(coef)
     assert margins["eligible_closeness"] <= 1e-10
     assert script.score(margins) > 0.0
-    # seed 0 gives a consistent spectral order, so the recovery and the
+    # seed 0 gives a consistent order, so the recovery and the
     # relabelling to original columns run as well
     wins, topo, err = script.end_to_end_success(coef, seeds=1, n=10_000)
     assert topo == 1

@@ -111,12 +111,12 @@ def scaling_sum(sq: Sequence[np.ndarray], k: int) -> tuple[float, int, int]:
     """Thresholded angular sum over the rows of q squared columns.
 
     ``sq`` holds q columns of length n with the squared coordinates of a
-    sample, for example views into a cached (d, n) array of squares.
-    Sums peak^2 / radius^2, the largest squared angular component, over
-    the ``exceedance_rows`` of the ``squared_radii`` in row order; only
-    those rows (k, more on ties) are gathered.  Returns ``(acc, n_exceed,
-    n_positive)``; ``acc`` is nan, for the caller to raise, when fewer
-    than k radii are positive or an exceedance radius^2 is inf.
+    sample.  Sums peak^2 / radius^2, the largest squared angular
+    component, over the ``exceedance_rows`` of the ``squared_radii`` in
+    row order; only those rows (k, more on ties) are gathered.  Returns
+    ``(acc, n_exceed, n_positive)``; ``acc`` is nan, for the caller to
+    raise, when fewer than k radii are positive or an exceedance
+    radius^2 is inf.
     """
     r2 = squared_radii(sq)
     rows, n_pos = exceedance_rows(r2, k)
@@ -129,16 +129,13 @@ def scaling_sum(sq: Sequence[np.ndarray], k: int) -> tuple[float, int, int]:
     return float((peak / r2).sum()), int(rows.size), n_pos
 
 
-def _invsq_mean(m: np.ndarray) -> float:
-    if np.any(m <= 0.0):
-        return float("nan")
-    return float(np.mean(m**-2.0))
-
-
 def scaled_rowmax_invsq_mean(x: np.ndarray, w: np.ndarray) -> float:
     """Mean over rows of ``(max_j w_j * x_ij)^(-2)``; nan when any row
     maximum is not strictly positive."""
-    return _invsq_mean((x * w).max(axis=1))
+    m = (x * w).max(axis=1)
+    if np.any(m <= 0.0):
+        return float("nan")
+    return float(np.mean(m**-2.0))
 
 
 def inverse_squares(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

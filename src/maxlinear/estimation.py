@@ -20,8 +20,8 @@ k-th largest squared radius, ties included) ``polar_decompose`` shares:
 ``scaling_from_polar`` of a decomposition is ``estimate_max_scaling``
 bit for bit, and both refuse the same inputs with the same message.
 The public estimators validate and square their sample on every call;
-``ordering.SpectralScalings`` validates and squares it once and feeds
-the same kernel views of its cached columns, with bit-identical results.
+``ordering.SpectralScalings`` validates its sample once and asks them
+for every scaling.
 
 Marginal standardization helpers (negative part, empirical rank
 transform to Frechet(2) margins) prepare raw data for these estimators
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -165,27 +165,6 @@ def _checked_scaling_sum(sq: Sequence[np.ndarray], k: int, where: str) -> float:
     return acc
 
 
-def _max_scaling_of_squares(
-    sq: Sequence[np.ndarray], subset: tuple[int, ...], k: int
-) -> float:
-    """Reduced-subset estimate from the squared columns of ``subset``."""
-    return len(subset) / k * _checked_scaling_sum(sq, k, f"columns {subset}")
-
-
-def _inflated_columns(labels: Iterable[int]) -> str:
-    """``where`` of a rescaled estimate that inflates ``labels``."""
-    return f"all columns with columns {tuple(sorted(labels))} inflated"
-
-
-def _rescaled_scaling_of_squares(
-    sq: Sequence[np.ndarray], n_inflated: int, factor: float, k: int, where: str
-) -> float:
-    """Rescaled estimate from squared columns ``where``, ``n_inflated``
-    of them taken after inflation by ``factor``."""
-    mass = (factor**2 - 1.0) * n_inflated + len(sq)
-    return mass / k * _checked_scaling_sum(sq, k, where)
-
-
 def estimate_max_scaling(x: np.ndarray, cols: Sequence[int], k: int) -> float:
     """Reduced-subset estimate of the squared scaling of ``max_{i in cols} X_i``.
 
@@ -203,7 +182,7 @@ def estimate_max_scaling(x: np.ndarray, cols: Sequence[int], k: int) -> float:
     subset = _check_nodes(cols, a.shape[1])
     with np.errstate(over="ignore"):
         sq = [np.square(a[:, c - 1]) for c in subset]
-    return _max_scaling_of_squares(sq, subset, k)
+    return len(subset) / k * _checked_scaling_sum(sq, k, f"columns {subset}")
 
 
 def estimate_rescaled_max_scaling(
@@ -234,7 +213,9 @@ def estimate_rescaled_max_scaling(
     labels = _inflated_nodes(ordered, node, factor, d)
     with np.errstate(over="ignore"):
         sq = [np.square(factor * a[:, j] if j + 1 in labels else a[:, j]) for j in range(d)]
-    return _rescaled_scaling_of_squares(sq, len(labels), factor, k, _inflated_columns(labels))
+    where = f"all columns with columns {tuple(sorted(labels))} inflated"
+    mass = (factor**2 - 1.0) * len(labels) + d
+    return mass / k * _checked_scaling_sum(sq, k, where)
 
 
 def negative_part(x: np.ndarray) -> np.ndarray:

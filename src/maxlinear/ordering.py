@@ -27,11 +27,11 @@ estimates (``SpectralScalings`` for the angular estimators,
 ``FrechetMleScalings`` for the parametric ones).  Each pass subtracts
 ``all_node_scaling()`` and makes one call, ``pass_scalings(ordered,
 factor)``, which returns for every unordered candidate m the scaling of
-head ∪ {m} and the scaling of the maximum with that group inflated;
-the data providers answer it from tables they form once.  Each
-``DeltaPass`` keeps its answer, which is where the scaling vector is
-read from.  No pass calls the per-subset methods ``max_scaling`` and
-``rescaled_scaling``; they are the references the tests hold it to.
+head ∪ {m} and the scaling of the maximum with that group inflated.
+``FrechetMleScalings`` answers it from tables it forms once; the other
+two ask their per-subset methods ``max_scaling`` and
+``rescaled_scaling`` candidate by candidate.  Each ``DeltaPass`` keeps
+its answer, which is where the scaling vector is read from.
 """
 
 from __future__ import annotations
@@ -53,9 +53,6 @@ from .errors import (
 from .estimation import (
     _as_sample,
     _check_threshold_count,
-    _inflated_columns,
-    _max_scaling_of_squares,
-    _rescaled_scaling_of_squares,
     estimate_max_scaling,
     estimate_rescaled_max_scaling,
 )
@@ -66,7 +63,7 @@ from .model import (
     rescaled_max_scaling,
 )
 
-# Data providers run under this: an estimate pushed out of floating-point
+# The MLE provider runs under this: a fit pushed out of floating-point
 # range fails a finiteness check and raises, so numpy's warnings about
 # the same overflow would only repeat it.
 _quiet = np.errstate(over="ignore", divide="ignore", invalid="ignore")
@@ -141,17 +138,25 @@ class ExactScalings:
         return rescaled_max_scaling(self._coef, ordered, node, factor)
 
     def all_node_scaling(self) -> float:
-        return max_scaling(self._coef, _all_nodes(self.node_count))
+        return self.max_scaling(_all_nodes(self.node_count))
 
     def pass_scalings(
         self, ordered: Sequence[int], factor: float
     ) -> dict[int, tuple[float, float]]:
-        hs, c = tuple(ordered), self._coef
-        return {
-            m: (max_scaling(c, (*hs, m)), rescaled_max_scaling(c, hs, m, factor))
-            for m in _all_nodes(self.node_count)
-            if m not in hs
-        }
+        return _subset_by_subset(self, ordered, factor)
+
+
+def _subset_by_subset(
+    provider: ExactScalings | SpectralScalings, ordered: Sequence[int], factor: float
+) -> dict[int, tuple[float, float]]:
+    """``pass_scalings`` asked of the per-subset methods ``max_scaling``
+    and ``rescaled_scaling``, one candidate at a time."""
+    hs = tuple(ordered)
+    return {
+        m: (provider.max_scaling((*hs, m)), provider.rescaled_scaling(hs, m, factor))
+        for m in _all_nodes(provider.node_count)
+        if m not in hs
+    }
 
 
 def _varying_columns(x: np.ndarray) -> np.ndarray:
@@ -171,15 +176,12 @@ def _varying_columns(x: np.ndarray) -> np.ndarray:
 class SpectralScalings:
     """Angular-measure estimates from one sample with a fixed threshold.
 
-    The sample is validated once and its squares are held column by
-    column, with the squares of the inflated columns for each factor a
-    pass has used.  ``pass_scalings`` hands views of these columns to
-    ``_kernels.scaling_sum``.  Group estimates are memoized: every pass
-    reads the all-node scaling.  No command orders with this provider;
-    ``learn --scalings spectral`` orders with ``FrechetMleScalings``
-    and reads angular estimates in its recovery only.  The per-subset
-    methods go through the public estimators ``estimate_max_scaling``
-    and ``estimate_rescaled_max_scaling``; both paths give the same bits.
+    A per-subset view of the public estimators ``estimate_max_scaling``
+    and ``estimate_rescaled_max_scaling`` on a sample validated once;
+    ``pass_scalings`` asks them subset by subset.  No command orders
+    with this provider; ``learn --scalings spectral`` orders with
+    ``FrechetMleScalings`` and reads angular estimates in its recovery
+    only.
 
     Raises:
         ValidationError: k is not an integer of at least 1, or the
@@ -188,67 +190,31 @@ class SpectralScalings:
             no estimate that involves it carries tail information.
     """
 
-    @_quiet
     def __init__(self, x: np.ndarray, k: int) -> None:
         self._k = _check_threshold_count(k)
-        self._cols = _varying_columns(x)
-        self._sq = self._cols * self._cols
-        self._inflated_sq: dict[float, np.ndarray] = {}
-        self._groups: dict[frozenset[int], float] = {}
+        self._x = _varying_columns(x).T
 
     @property
     def node_count(self) -> int:
-        return self._cols.shape[0]
+        return self._x.shape[1]
 
     @property
     def threshold_count(self) -> int:
         return self._k
 
     def max_scaling(self, nodes: Sequence[int]) -> float:
-        return estimate_max_scaling(self._cols.T, sorted(nodes), self._k)
+        return estimate_max_scaling(self._x, sorted(nodes), self._k)
 
     def rescaled_scaling(self, ordered: Sequence[int], node: int, factor: float) -> float:
-        return estimate_rescaled_max_scaling(
-            self._cols.T, sorted(ordered), node, factor, self._k
-        )
+        return estimate_rescaled_max_scaling(self._x, sorted(ordered), node, factor, self._k)
 
-    def _inflated(self, factor: float) -> np.ndarray:
-        if factor not in self._inflated_sq:
-            _check_factor(factor)
-            scaled = factor * self._cols
-            self._inflated_sq[factor] = np.multiply(scaled, scaled, out=scaled)
-        return self._inflated_sq[factor]
-
-    def _group(self, key: frozenset[int]) -> float:
-        if key not in self._groups:
-            subset = tuple(sorted(key))
-            sq = [self._sq[v - 1] for v in subset]
-            self._groups[key] = _max_scaling_of_squares(sq, subset, self._k)
-        return self._groups[key]
-
-    @_quiet
     def all_node_scaling(self) -> float:
-        return self._group(frozenset(_all_nodes(self.node_count)))
+        return self.max_scaling(_all_nodes(self.node_count))
 
-    @_quiet
     def pass_scalings(
         self, ordered: Sequence[int], factor: float
     ) -> dict[int, tuple[float, float]]:
-        factor = float(factor)
-        inflated = self._inflated(factor)
-        d = self.node_count
-        hs = frozenset(int(v) for v in ordered)
-        out: dict[int, tuple[float, float]] = {}
-        for m in _all_nodes(d):
-            if m in hs:
-                continue
-            grown = hs | {m}
-            group = self._group(grown)
-            sq = [inflated[j] if j + 1 in grown else self._sq[j] for j in range(d)]
-            where = _inflated_columns(grown)
-            rescaled = _rescaled_scaling_of_squares(sq, len(grown), factor, self._k, where)
-            out[m] = (group, rescaled)
-        return out
+        return _subset_by_subset(self, ordered, factor)
 
 
 class FrechetMleScalings:

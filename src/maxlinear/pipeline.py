@@ -92,6 +92,13 @@ def _check_at_least(name: str, value: int, low: int) -> None:
         raise ValidationError(f"{name} must be at least {low}, got {value}")
 
 
+def _check_unread(cfg: object, unread: tuple[str, ...], where: str) -> None:
+    """Refuse the fields of ``cfg`` among ``unread`` that differ from their defaults."""
+    given = [f.name for f in fields(cfg) if f.name in unread and getattr(cfg, f.name) != f.default]
+    if given:
+        raise ValidationError(f"option(s) {', '.join(given)} are not read on {where}")
+
+
 # the ops of ``transform --ops`` and ``learn --transform``; "frechet" looks its
 # function up per call, so perfbench/tracing.py's wrapper on this module sees it
 MARGIN_OPS = {
@@ -312,14 +319,8 @@ def run_learn(cfg: LearnConfig) -> dict:
     if (cfg.data is None) == (cfg.model is None):
         raise ValidationError("exactly one of data= or model= must be given")
     run = "model" if cfg.model is not None else cfg.scalings
-    given = [
-        f.name
-        for f in fields(cfg)
-        if f.name in LEARN_UNREAD_OPTIONS[run] and getattr(cfg, f.name) != f.default
-    ]
-    if given:
-        what = "model=" if run == "model" else f"data= with scalings={run}"
-        raise ValidationError(f"option(s) {', '.join(given)} are not read on {what}")
+    what = "model=" if run == "model" else f"data= with scalings={run}"
+    _check_unread(cfg, LEARN_UNREAD_OPTIONS[run], what)
 
     k_used = n = None
     if cfg.model is not None:
@@ -571,6 +572,10 @@ class ExtremesConfig:
     def __post_init__(self) -> None:
         _check_choice("source", self.source, EXTREMES_SOURCES)
         _check_at_least("seed", self.seed, 0)
+        if self.source == "real":
+            _check_unread(self, ("model", "seed"), "source=real")
+        elif self.model is None:
+            raise ValidationError("simulated extremes need --model coefficients")
 
 
 def _parse_pairs(spec: str, d: int) -> list[tuple[int, int]]:
@@ -628,8 +633,6 @@ def run_extremes(cfg: ExtremesConfig) -> int:
     if cfg.source in ("real", "both"):
         sources.append(("real", x))
     if cfg.source in ("simulated", "both"):
-        if cfg.model is None:
-            raise ValidationError("simulated extremes need --model coefficients")
         a = fileio.read_matrix_auto(cfg.model)
         if a.shape != (d, d):
             raise ValidationError("model matrix shape does not match the data")

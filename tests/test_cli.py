@@ -343,6 +343,12 @@ def test_extremes_rejects_a_negative_seed_and_a_one_column_pair(
     model = str(tmp_path / "model.json")
     assert main([*argv, "--source", "simulated", "--model", model, "--seed", "-1"]) == 2
     assert capsys.readouterr().err == "error: seed must be at least 0, got -1\n"
+    # the real source reads neither option, and refuses the model before opening it
+    assert main([*argv, "--model", model, "--seed", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: option(s) model, seed are not read on source=real\n"
+    assert main([*argv, "--source", "real", "--seed", "3"]) == 2
+    assert capsys.readouterr().err == "error: option(s) seed are not read on source=real\n"
     assert main([*argv, "--pairs", "1-1"]) == 2
     assert capsys.readouterr().err == "error: pair '1-1' needs two distinct columns\n"
     assert main([*argv, "--pairs", "1-11"]) == 2

@@ -35,7 +35,7 @@ from maxlinear import (
     ten_node_dag,
     ten_node_model,
 )
-from maxlinear import _kernels, estimation, ordering
+from maxlinear import _kernels
 from maxlinear.pipeline import scaling_vector_from_provider
 from maxlinear.presets import TEN_NODE_GENERATIONS
 
@@ -423,27 +423,6 @@ def test_learn_order_ten_node_data_frozen_seed(preset_model):
             assert pos[anc] < pos[v]
     # one pass per node, each taking the largest delta
     assert [p.kind for p in res.passes] == ["initial"] + ["argmax"] * 9
-
-
-def test_learn_order_ten_node_data_uses_cached_columns(preset_model, monkeypatch):
-    xt = empirical_frechet_transform(simulate(preset_model, 0, 10_000))
-    calls = {"estimate": 0, "validate": 0}
-
-    def counted(fn, what):
-        def wrapper(*args, **kwargs):
-            calls[what] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    for name in ("estimate_max_scaling", "estimate_rescaled_max_scaling"):
-        monkeypatch.setattr(ordering, name, counted(getattr(ordering, name), "estimate"))
-    for module in (ordering, estimation):
-        monkeypatch.setattr(module, "_as_sample", counted(module._as_sample, "validate"))
-    learn_order(SpectralScalings(xt, 100), ReorderConfig.data_preset())
-    # every estimate of the passes reads the provider's squared columns,
-    # validated once at construction
-    assert calls == {"estimate": 0, "validate": 1}
 
 
 def test_learn_order_ten_node_mle_provider_frozen_seed(preset_model, monkeypatch):

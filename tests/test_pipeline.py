@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -522,6 +523,21 @@ def test_extremes_simulated_source_needs_model(tmp_path, small_sample):
     assert written == 4
     sources = {line.split(",")[2] for line in out.read_text().strip().splitlines()[1:]}
     assert sources == {"real", "simulated"}
+
+
+def test_extremes_config_owns_the_source_rule():
+    # the config refuses before any file is read: none of these paths exists
+    base = {"out": "missing/e.csv", "data": "missing.csv"}
+    for source, extra, text in (
+        ("real", {"model": "missing.json"}, "option(s) model are not read on source=real"),
+        ("real", {"seed": 1}, "option(s) seed are not read on source=real"),
+        ("simulated", {"seed": 1}, "simulated extremes need --model coefficients"),
+        ("both", {}, "simulated extremes need --model coefficients"),
+    ):
+        with pytest.raises(ValidationError, match=re.escape(text)):
+            ExtremesConfig(**base, source=source, **extra)
+    # an explicit default is not an option given
+    assert ExtremesConfig(**base, seed=0).model is None
 
 
 def test_extremes_bad_pairs(tmp_path, small_sample):
